@@ -13,16 +13,18 @@ always produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
-from .faultsim import simulate
+from .faultsim import enumerate_faults, evaluate
 from .lighttrail import DeploymentPlan, FaultModel, TrailMode
 from .quorums import (SearchBudget, generate_quorums, load_base, save_base,
                       search_min_base, verify_quorum_set)
-from .routing import route_all
+from .routing import RoutingInfeasibleError, route_all
 from .topology import (BUNDLED, NodeMapping, bundled_topology,
                        generate_mappings, load_topology)
 
@@ -100,45 +102,49 @@ def _cmd_simulate(args) -> int:
     mode = TrailMode(args.mode)
     model = FaultModel(args.fault_model)
     mappings = generate_mappings(g.n, args.mappings, args.seed)
+    scenarios = enumerate_faults(g, args.faults)
+    total = g.n * (g.n - 1)
 
-    def build(m: NodeMapping) -> DeploymentPlan:
-        return DeploymentPlan(n=g.n, mode=mode,
-                              cycles=tuple(route_all(g, qs, m)))
-
-    sink = None
-    dump = None
-    if args.dump_samples:
-        dump = open(args.dump_samples, "w", encoding="utf-8")
-
-        def sink(idx, scenario, served, total):
-            dump.write(json.dumps({
-                "mapping": idx,
-                "edges": [list(e) for e in scenario.failed_edges],
-                "served": served, "total": total,
-            }) + "\n")
-
+    rows, means = [], []
+    # samples stream to a temporary file that replaces the target only
+    # once every mapping is done, so an error never leaves a partial dump
+    tmp = f"{args.dump_samples}.tmp" if args.dump_samples else None
     try:
-        result = simulate(g, build, mappings, args.faults,
-                          fault_model=model, sample_sink=sink)
-    finally:
-        if dump is not None:
-            dump.close()
+        with (open(tmp, "w", encoding="utf-8") if tmp
+              else contextlib.nullcontext()) as dump:
+            for idx, mapping in enumerate(mappings):
+                try:
+                    cycles = tuple(route_all(g, qs, mapping))
+                except RoutingInfeasibleError as exc:
+                    rows.append([idx, "excluded", 0, "",
+                                 f"{type(exc).__name__}: {exc}"])
+                    continue
+                plan = DeploymentPlan(n=g.n, mode=mode, cycles=cycles)
+                counts = evaluate(plan, scenarios, model)
+                mean = sum(counts) / (len(scenarios) * total)
+                means.append(mean)
+                rows.append([idx, "ok", len(scenarios), repr(mean), ""])
+                if dump is not None:
+                    for scenario, served in zip(scenarios, counts):
+                        dump.write(json.dumps({
+                            "mapping": idx,
+                            "edges": [list(e) for e in scenario.failed_edges],
+                            "served": served, "total": total,
+                        }) + "\n")
+        if tmp:
+            os.replace(tmp, args.dump_samples)
+    except BaseException:
+        if tmp:
+            Path(tmp).unlink(missing_ok=True)
+        raise
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["mapping", "status", "scenarios", "mean_coverage", "detail"])
-    records = {m.mapping_index: m for m in result.per_mapping}
-    skipped = {e.mapping_index: e for e in result.excluded}
-    for idx in range(len(mappings)):
-        if idx in records:
-            m = records[idx]
-            writer.writerow([idx, "ok", m.scenario_count,
-                             repr(m.mean_coverage), ""])
-        else:
-            writer.writerow([idx, "excluded", 0, "", skipped[idx].reason])
-    if result.per_mapping:
-        grand = sum(result.coverages) / len(result.coverages)
-        print(f"mean coverage over {len(result.per_mapping)} mappings: "
-              f"{grand:.6f} ({len(result.excluded)} excluded)",
+    writer.writerows(rows)
+    if means:
+        grand = sum(means) / len(means)
+        print(f"mean coverage over {len(means)} mappings: "
+              f"{grand:.6f} ({len(rows) - len(means)} excluded)",
               file=sys.stderr)
     return 0
 

@@ -1,20 +1,20 @@
-"""Exhaustive link-fault simulation over mapping ensembles.
+"""Exhaustive link-fault enumeration and evaluation.
 
 Every fault scenario of the requested order (all single links, or all
-unordered link pairs) is applied to a deployment plan and the fraction
-of ordered node pairs still served is recorded.  Randomness enters only
-through the node-mapping ensemble, so runs are reproducible from
-(topology, base, mode, mapping count, seed).
+unordered link pairs) is applied to a deployment plan and the number of
+ordered node pairs still served is counted.  Callers average the counts
+over a node-mapping ensemble, the only source of randomness, so runs are
+reproducible from (topology, base, mode, mapping count, seed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .lighttrail import DeploymentPlan, FaultModel, TrailMode, _cycle_bits
-from .topology import NodeMapping, Topology, canonical_edge
+from .lighttrail import DeploymentPlan, FaultModel, served_pairs_cycle
+from .topology import Topology, canonical_edge
 
 Edge = tuple[int, int]
 
@@ -36,46 +36,6 @@ class FaultScenario:
         return len(self.failed_edges)
 
 
-@dataclass(frozen=True)
-class CoverageSample:
-    scenario: FaultScenario
-    served: int
-    total: int
-
-    @property
-    def coverage(self) -> float:
-        return self.served / self.total if self.total else 1.0
-
-
-@dataclass(frozen=True)
-class MappingCoverage:
-    """Coverage of one mapping averaged over every scenario."""
-
-    mapping_index: int
-    scenario_count: int
-    mean_coverage: float
-
-
-@dataclass(frozen=True)
-class ExcludedMapping:
-    """A mapping dropped from the aggregate, with the reason why."""
-
-    mapping_index: int
-    reason: str
-
-
-@dataclass(frozen=True)
-class SimulationResult:
-    order: int
-    fault_model: FaultModel
-    per_mapping: tuple[MappingCoverage, ...]
-    excluded: tuple[ExcludedMapping, ...]
-
-    @property
-    def coverages(self) -> list[float]:
-        return [m.mean_coverage for m in self.per_mapping]
-
-
 def enumerate_faults(g: Topology, order: int) -> tuple[FaultScenario, ...]:
     """All fault scenarios of the given order, deterministically sorted."""
     if order < 1:
@@ -88,88 +48,32 @@ def enumerate_faults(g: Topology, order: int) -> tuple[FaultScenario, ...]:
                  for combo in combinations(g.edges, order))
 
 
-class _PlanEvaluator:
-    """Serves scenario queries against one plan with per-cycle caching.
+def evaluate(plan: DeploymentPlan, scenarios: Iterable[FaultScenario],
+             fault_model: FaultModel = FaultModel.TRUNCATED) -> list[int]:
+    """Served ordered-pair count of the plan under each scenario, in order.
 
-    A scenario only disturbs cycles it actually touches, so fault-free
-    cycle bitsets are computed once and faulted variants are memoized per
-    (cycle, edges hit).
+    A scenario only disturbs the cycles it touches, so fault-free cycle
+    bitsets are computed once and each cycle's faulted variants are
+    memoized by the set of its links that failed, across all scenarios.
     """
-
-    def __init__(self, plan: DeploymentPlan, fault_model: FaultModel,
-                 hub_relay: bool = False):
-        self.plan = plan
-        self.fault_model = fault_model
-        self.hub_relay = hub_relay
-        self.total = plan.n * (plan.n - 1)
-        self._clean = [
-            _cycle_bits(c, plan.mode, plan.n, frozenset(), fault_model, hub_relay)
-            for c in plan.cycles
-        ]
-        self._edge_map = [c.edges for c in plan.cycles]
-        self._memo: list[dict[frozenset[Edge], int]] = [{} for _ in plan.cycles]
-
-    def served_bits(self, scenario: FaultScenario) -> int:
+    clean = [served_pairs_cycle(c, plan.mode, plan.n, (), fault_model).bits
+             for c in plan.cycles]
+    edge_sets = [c.edges for c in plan.cycles]  # a computed property
+    memos: list[dict[frozenset[Edge], int]] = [{} for _ in plan.cycles]
+    counts = []
+    for scenario in scenarios:
         failed = frozenset(scenario.failed_edges)
         bits = 0
-        for i, cycle in enumerate(self.plan.cycles):
-            hit = failed & self._edge_map[i]
+        for i, cycle in enumerate(plan.cycles):
+            hit = failed & edge_sets[i]
             if not hit:
-                bits |= self._clean[i]
+                bits |= clean[i]
                 continue
-            memo = self._memo[i]
-            cached = memo.get(hit)
+            cached = memos[i].get(hit)
             if cached is None:
-                cached = _cycle_bits(cycle, self.plan.mode, self.plan.n,
-                                     hit, self.fault_model, self.hub_relay)
-                memo[hit] = cached
+                cached = served_pairs_cycle(cycle, plan.mode, plan.n, hit,
+                                            fault_model).bits
+                memos[i][hit] = cached
             bits |= cached
-        return bits
-
-    def sample(self, scenario: FaultScenario) -> CoverageSample:
-        served = self.served_bits(scenario).bit_count()
-        return CoverageSample(scenario=scenario, served=served, total=self.total)
-
-
-def coverage(plan: DeploymentPlan, scenario: FaultScenario,
-             fault_model: FaultModel = FaultModel.TRUNCATED) -> CoverageSample:
-    """Served fraction of ordered pairs under one fault scenario."""
-    return _PlanEvaluator(plan, fault_model).sample(scenario)
-
-
-SampleSink = Callable[[int, FaultScenario, int, int], None]
-
-
-def simulate(g: Topology, plan_builder: Callable[[NodeMapping], DeploymentPlan],
-             mappings: Iterable[NodeMapping], order: int,
-             fault_model: FaultModel = FaultModel.TRUNCATED,
-             sample_sink: SampleSink | None = None) -> SimulationResult:
-    """Mean fault coverage per mapping, over every scenario of one order.
-
-    plan_builder turns a mapping into a deployment plan; mappings whose
-    plan construction fails are excluded from the aggregate and reported,
-    never silently dropped.  sample_sink, when given, receives every raw
-    sample as (mapping_index, scenario, served, total).
-    """
-    scenarios = enumerate_faults(g, order)
-    per_mapping = []
-    excluded = []
-    for index, mapping in enumerate(mappings):
-        try:
-            plan = plan_builder(mapping)
-        except Exception as exc:  # surfaced per mapping, kind recorded
-            excluded.append(ExcludedMapping(
-                mapping_index=index, reason=f"{type(exc).__name__}: {exc}"))
-            continue
-        evaluator = _PlanEvaluator(plan, fault_model)
-        acc = 0
-        for scenario in scenarios:
-            served = evaluator.served_bits(scenario).bit_count()
-            acc += served
-            if sample_sink is not None:
-                sample_sink(index, scenario, served, evaluator.total)
-        mean = acc / (len(scenarios) * evaluator.total)
-        per_mapping.append(MappingCoverage(
-            mapping_index=index, scenario_count=len(scenarios), mean_coverage=mean))
-    return SimulationResult(order=order, fault_model=fault_model,
-                            per_mapping=tuple(per_mapping), excluded=tuple(excluded))
+        counts.append(bits.bit_count())
+    return counts

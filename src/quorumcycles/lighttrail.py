@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .routing import CycleRoute
 from .topology import canonical_edge
 
@@ -93,17 +91,6 @@ class ServedPairs:
             out.add((idx // n + 1, idx % n + 1))
             bits ^= low
         return frozenset(out)
-
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n), dtype=bool)
-        for a, b in self.pairs():
-            m[a - 1, b - 1] = True
-        return m
-
-    def bitmap(self) -> list[str]:
-        """Row-per-source 0/1 text dump for debugging."""
-        m = self.matrix()
-        return ["".join("1" if x else "0" for x in row) for row in m]
 
 
 def _segment_bits(segment: tuple[int, ...], n: int) -> int:

@@ -103,14 +103,6 @@ class VerificationReport:
 
 
 @dataclass(frozen=True)
-class SizingEstimate:
-    k: int
-    r: int
-    k_hat: int
-    total_pairs: int
-
-
-@dataclass(frozen=True)
 class SearchBudget:
     """DFS node cap per size level of the search; None means unbounded."""
 
@@ -136,12 +128,6 @@ def lower_bound_k(n: int) -> int:
     return k
 
 
-def pair_algebra(n: int, k: int) -> tuple[int, int]:
-    """(pairs per quorum, pair slots across all n quorums) for size k."""
-    per = k * (k - 1) // 2
-    return per, n * per
-
-
 def estimate_khat(k: int, r: int) -> int:
     """Predicted r-redundant base size from the r=1 size: ceil(sqrt(r)*k)."""
     if k < 1 or r < 1:
@@ -150,21 +136,6 @@ def estimate_khat(k: int, r: int) -> int:
     if est * est < r * k * k:
         est += 1
     return est
-
-
-def sizing_estimate(n: int, k: int, r: int) -> SizingEstimate:
-    return SizingEstimate(k=k, r=r, k_hat=estimate_khat(k, r),
-                          total_pairs=pair_algebra(n, k)[1])
-
-
-def shift_counts(base: QuorumBase) -> dict[int, int]:
-    """Unreduced shift-coincidence counts for every d in 1..n-1."""
-    members = set(base.members)
-    n = base.n
-    return {
-        d: sum(1 for s in members if ((s - 1 + d) % n) + 1 in members)
-        for d in range(1, n)
-    }
 
 
 def difference_counts(base: QuorumBase) -> dict[int, int]:

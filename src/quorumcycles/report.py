@@ -15,16 +15,18 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from itertools import islice
 from math import sqrt
 from pathlib import Path
 from statistics import fmean, stdev
 from typing import Sequence
 
-from .faultsim import _PlanEvaluator, enumerate_faults
+from .faultsim import enumerate_faults, evaluate
 from .lighttrail import (DeploymentPlan, FaultModel, TrailMode, links_used,
                          missing_pairs)
-from .quorums import (QuorumBase, SearchBudget, bundled_base, generate_quorums,
-                      is_r_redundant, load_base, search_min_base)
+from .quorums import (QuorumBase, SearchBudget, SearchBudgetExhausted,
+                      bundled_base, generate_quorums, is_r_redundant,
+                      load_base, search_min_base)
 from .routing import RoutingInfeasibleError, route_all
 from .topology import (BUNDLED, bundled_topology, generate_mappings,
                        load_topology)
@@ -173,11 +175,11 @@ def _resolve_base(n: int, r: int, base_files: dict[int, str],
     if path is not None:
         base = load_base(path)
         if base.n != n:
-            raise ExperimentError(
+            raise ValueError(
                 f"base file {path} is for n={base.n}, topology has n={n}")
         base = QuorumBase(n=n, r=r, members=base.members)
         if not is_r_redundant(base):
-            raise ExperimentError(
+            raise ValueError(
                 f"base file {path} is not {r}-redundant for n={n}")
         return base
     bundled = bundled_base(n, r)
@@ -197,12 +199,14 @@ def run_experiment(spec: ExperimentSpec, *,
     mappings = generate_mappings(g.n, spec.mapping_count, spec.seed)
     base_files = dict(spec.base_files)
     scenario_sets = {o: enumerate_faults(g, o) for o in spec.fault_orders}
+    all_scenarios = [s for scenarios in scenario_sets.values() for s in scenarios]
+    total_pairs = g.n * (g.n - 1)
 
     rows: list[ResultRow] = []
     for r in spec.r_values:
         try:
             base = _resolve_base(g.n, r, base_files, search_budget)
-        except Exception as exc:
+        except (OSError, ValueError, SearchBudgetExhausted) as exc:
             raise ExperimentError(
                 f"{spec.network} r={r}: no usable quorum base ({exc})",
                 rows) from exc
@@ -238,12 +242,13 @@ def run_experiment(spec: ExperimentSpec, *,
             if spec.fault_orders:
                 cov: dict[int, list[float]] = {o: [] for o in spec.fault_orders}
                 for plan in plans:
-                    ev = _PlanEvaluator(plan, spec.fault_model)
+                    # one call over every order shares the per-cycle memo
+                    counts = iter(evaluate(plan, all_scenarios,
+                                           spec.fault_model))
                     for order, scenarios in scenario_sets.items():
-                        served = sum(ev.served_bits(s).bit_count()
-                                     for s in scenarios)
+                        served = sum(islice(counts, len(scenarios)))
                         cov[order].append(
-                            100.0 * served / (len(scenarios) * ev.total))
+                            100.0 * served / (len(scenarios) * total_pairs))
                 for order in spec.fault_orders:
                     add("coverage", order, cov[order])
     return rows

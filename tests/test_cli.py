@@ -1,10 +1,12 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
+import csv
+import io
 import json
 
 import pytest
 
-from quorumcycles import QuorumBase, parse_rows_csv, save_base
+from quorumcycles import QuorumBase, cli, parse_rows_csv, save_base
 from quorumcycles.cli import main
 
 
@@ -177,6 +179,67 @@ def test_simulate_dump_samples(capsys, tmp_path, tri_files):
     served = {tuple(rec["edges"][0]): rec["served"] for rec in identity}
     assert served == {(1, 2): 6, (1, 3): 6, (2, 3): 6}
     assert all(rec["total"] == 6 for rec in records)
+    assert not (tmp_path / "samples.jsonl.tmp").exists()
+
+
+def test_simulate_dump_is_atomic(capsys, monkeypatch, tmp_path, tri_files):
+    topo, base = tri_files
+    dump = tmp_path / "samples.jsonl"
+    real = cli.evaluate
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("evaluator crashed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate", fail_second)
+    code, out, err = run(capsys, "simulate", "--topology", topo,
+                         "--base-file", base, "--mode", "paired",
+                         "--faults", "1", "--mappings", "3",
+                         "--dump-samples", str(dump))
+    assert code == 1
+    assert "evaluator crashed" in err
+    assert not dump.exists()
+    assert not (tmp_path / "samples.jsonl.tmp").exists()
+
+
+def test_simulate_excludes_unroutable_mappings(capsys, tmp_path):
+    # two triangles joined by the bridge 3-4: no quorum that spans the
+    # bridge can close an edge-distinct cycle
+    topo = tmp_path / "barbell.txt"
+    topo.write_text("n 6\n1 2\n1 3\n2 3\n3 4\n4 5\n4 6\n5 6\n")
+    base = tmp_path / "b.json"
+    save_base(QuorumBase(n=6, r=1, members=(1, 2, 4)), str(base))
+    code, out, err = run(capsys, "simulate", "--topology", str(topo),
+                         "--base-file", str(base), "--mode", "paired",
+                         "--faults", "1", "--mappings", "2")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["mapping"] for row in rows] == ["0", "1"]
+    for row in rows:
+        assert row["status"] == "excluded"
+        assert row["scenarios"] == "0"
+        assert row["mean_coverage"] == ""
+        assert row["detail"].startswith("RoutingInfeasibleError: ")
+    assert "mean coverage" not in err
+
+
+def test_simulate_programming_error_is_not_excluded(capsys, monkeypatch,
+                                                    tri_files):
+    topo, base = tri_files
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug in routing")
+
+    monkeypatch.setattr(cli, "route_all", broken)
+    code, out, err = run(capsys, "simulate", "--topology", topo,
+                         "--base-file", base, "--mode", "paired",
+                         "--faults", "1", "--mappings", "2")
+    assert code == 1
+    assert "excluded" not in out
+    assert err == "error: bug in routing\n"
 
 
 def test_simulate_base_size_mismatch(capsys, tri_files):

@@ -1,4 +1,4 @@
-"""Exhaustive fault enumeration and coverage aggregation."""
+"""Exhaustive fault enumeration and per-scenario evaluation."""
 
 import itertools
 import random
@@ -11,12 +11,12 @@ from quorumcycles import (
     DeploymentPlan,
     FaultModel,
     FaultScenario,
-    NodeMapping,
+    Topology,
     TrailMode,
     bundled_topology,
-    coverage,
     enumerate_faults,
-    simulate,
+    evaluate,
+    served_pairs_plan,
 )
 
 from oracles import plan_served_pairs
@@ -66,92 +66,48 @@ def test_enumerate_rejects_bad_orders(triangle):
         enumerate_faults(triangle, 4)
 
 
-# --------------------------------------------------------------- coverage
+# --------------------------------------------------------------- evaluate
+
+def served(plan, *edges, fault_model=FaultModel.TRUNCATED):
+    return evaluate(plan, [FaultScenario(failed_edges=edges)], fault_model)[0]
+
 
 def test_triangle_paired_per_scenario():
-    served = {
-        s.failed_edges[0]: coverage(TRI_PLAN, s).served
-        for s in (FaultScenario(failed_edges=(e,))
-                  for e in [(1, 2), (1, 3), (2, 3)])
-    }
+    got = {e: served(TRI_PLAN, e) for e in [(1, 2), (1, 3), (2, 3)]}
     # hub-adjacent breaks keep 6 of 6 pairs, the opposite edge only 4
-    assert served == {(1, 2): 6, (1, 3): 6, (2, 3): 4}
+    assert got == {(1, 2): 6, (1, 3): 6, (2, 3): 4}
 
 
-def test_coverage_sample_fields():
-    sample = coverage(TRI_PLAN, FaultScenario(failed_edges=((2, 3),)))
-    assert sample.total == 6
-    assert sample.coverage == pytest.approx(4 / 6)
-    assert sample.scenario.order == 1
+def test_evaluate_counts_in_scenario_order(triangle):
+    scenarios = list(enumerate_faults(triangle, 1))
+    assert evaluate(TRI_PLAN, scenarios) == [6, 6, 4]
+    assert evaluate(TRI_PLAN, scenarios[::-1]) == [4, 6, 6]
+    assert evaluate(TRI_PLAN, []) == []
 
 
 def test_whole_cycle_single_plan_always_dark():
-    sample = coverage(TRI_PLAN, FaultScenario(failed_edges=((1, 2),)),
-                      fault_model=FaultModel.WHOLE_CYCLE)
-    assert sample.served == 0
-
-
-# --------------------------------------------------------------- simulate
-
-def identity_builder(plan):
-    return lambda mapping: plan
+    assert served(TRI_PLAN, (1, 2), fault_model=FaultModel.WHOLE_CYCLE) == 0
 
 
 def test_simulate_triangle_means(triangle):
-    mappings = [NodeMapping(perm=(1, 2, 3), seed=0)]
-    res = simulate(triangle, identity_builder(TRI_PLAN), mappings, 1)
-    assert res.order == 1
-    assert res.fault_model is FaultModel.TRUNCATED
-    assert res.excluded == ()
-    assert res.coverages == [pytest.approx((6 + 6 + 4) / (3 * 6))]
-    assert res.per_mapping[0].scenario_count == 3
-
-    double = simulate(triangle, identity_builder(TRI_PLAN), mappings, 2)
-    assert double.coverages == [pytest.approx(2 / 9)]
+    total = 3 * 2
+    single = enumerate_faults(triangle, 1)
+    assert sum(evaluate(TRI_PLAN, single)) / (len(single) * total) == \
+        pytest.approx((6 + 6 + 4) / (3 * 6))
+    double = enumerate_faults(triangle, 2)
+    assert sum(evaluate(TRI_PLAN, double)) / (len(double) * total) == \
+        pytest.approx(2 / 9)
 
 
 def test_simulate_whole_cycle_zero(triangle):
-    res = simulate(triangle, identity_builder(TRI_PLAN),
-                   [NodeMapping(perm=(1, 2, 3), seed=0)], 1,
-                   fault_model=FaultModel.WHOLE_CYCLE)
-    assert res.coverages == [0.0]
-
-
-def test_simulate_reports_exclusions(triangle):
-    calls = []
-
-    def build(mapping):
-        calls.append(mapping)
-        if len(calls) == 2:
-            raise RuntimeError("no feasible cycle")
-        return TRI_PLAN
-
-    mappings = [NodeMapping(perm=(1, 2, 3), seed=0),
-                NodeMapping(perm=(2, 3, 1), seed=1),
-                NodeMapping(perm=(3, 1, 2), seed=2)]
-    res = simulate(triangle, build, mappings, 1)
-    assert [m.mapping_index for m in res.per_mapping] == [0, 2]
-    assert len(res.excluded) == 1
-    assert res.excluded[0].mapping_index == 1
-    assert "RuntimeError" in res.excluded[0].reason
-    assert "no feasible cycle" in res.excluded[0].reason
-
-
-def test_simulate_sink_receives_every_sample(triangle):
-    seen = []
-    simulate(triangle, identity_builder(TRI_PLAN),
-             [NodeMapping(perm=(1, 2, 3), seed=0)], 1,
-             sample_sink=lambda *rec: seen.append(rec))
-    assert len(seen) == 3
-    assert sorted(s[2] for s in seen) == [4, 6, 6]
-    assert all(idx == 0 and total == 6 for idx, _, _, total in seen)
+    counts = evaluate(TRI_PLAN, enumerate_faults(triangle, 1),
+                      FaultModel.WHOLE_CYCLE)
+    assert counts == [0, 0, 0]
 
 
 def test_simulate_deterministic(triangle):
-    runs = [simulate(triangle, identity_builder(TRI_PLAN),
-                     [NodeMapping(perm=(1, 2, 3), seed=0)], 2)
-            for _ in range(2)]
-    assert runs[0] == runs[1]
+    scenarios = enumerate_faults(triangle, 2)
+    assert evaluate(TRI_PLAN, scenarios) == evaluate(TRI_PLAN, scenarios)
 
 
 # --------------------------------------------------------------- properties
@@ -177,19 +133,18 @@ def test_double_fault_no_better_than_parts(case):
         return
     e1, e2 = rng.sample(edges, 2)
     plan = DeploymentPlan(n=n, mode=TrailMode.PAIRED, cycles=tuple(cycles))
-    both = coverage(plan, FaultScenario(failed_edges=(e1, e2))).served
-    assert both <= coverage(plan, FaultScenario(failed_edges=(e1,))).served
-    assert both <= coverage(plan, FaultScenario(failed_edges=(e2,))).served
+    both = served(plan, e1, e2)
+    assert both <= served(plan, e1)
+    assert both <= served(plan, e2)
 
 
 @settings(max_examples=120, deadline=None)
 @given(ring_plan_case())
 def test_paired_coverage_dominates_single(case):
     n, cycles, edges, rng = case
-    scenario = FaultScenario(failed_edges=(rng.choice(edges),))
+    edge = rng.choice(edges)
     modes = {
-        mode: coverage(DeploymentPlan(n=n, mode=mode, cycles=tuple(cycles)),
-                       scenario).served
+        mode: served(DeploymentPlan(n=n, mode=mode, cycles=tuple(cycles)), edge)
         for mode in TrailMode
     }
     assert modes[TrailMode.SINGLE] <= modes[TrailMode.PAIRED]
@@ -201,7 +156,24 @@ def test_memoized_evaluator_matches_oracle(case):
     n, cycles, edges, rng = case
     plan = DeploymentPlan(n=n, mode=TrailMode.PAIRED, cycles=tuple(cycles))
     seqs = [c.sequence for c in cycles]
-    for _ in range(4):
-        failed = tuple(rng.sample(edges, min(2, len(edges))))
-        got = coverage(plan, FaultScenario(failed_edges=failed)).served
-        assert got == len(plan_served_pairs(seqs, True, failed))
+    # one call, so repeated and overlapping faults are served from the memo
+    scenarios = [FaultScenario(failed_edges=tuple(rng.sample(edges, 2)))
+                 for _ in range(6)]
+    scenarios += scenarios[:3]
+    got = evaluate(plan, scenarios)
+    assert got == [len(plan_served_pairs(seqs, True, s.failed_edges))
+                   for s in scenarios]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_plan_case())
+def test_evaluate_matches_uncached_plan_union(case):
+    n, cycles, edges, _ = case
+    g = Topology(n=n, edges=tuple(edges))
+    scenarios = enumerate_faults(g, 1) + enumerate_faults(g, 2)
+    for mode in TrailMode:
+        plan = DeploymentPlan(n=n, mode=mode, cycles=tuple(cycles))
+        for model in FaultModel:
+            got = evaluate(plan, scenarios, model)
+            assert got == [served_pairs_plan(plan, s.failed_edges, model).count
+                           for s in scenarios]

@@ -67,15 +67,6 @@ def test_served_pairs_union_size_mismatch():
         ServedPairs.empty(3) | ServedPairs.empty(4)
 
 
-def test_served_pairs_matrix_and_bitmap():
-    sp = served_pairs_cycle(TRIANGLE, TrailMode.SINGLE, 3)
-    m = sp.matrix()
-    assert m.shape == (3, 3)
-    assert m[0, 1] and m[0, 2] and m[1, 2] and m[1, 0] and m[2, 0]
-    assert not m[2, 1] and not m.diagonal().any()
-    assert sp.bitmap() == ["011", "101", "100"]
-
-
 # ------------------------------------------------------------- fault-free
 
 def test_square_single_fault_free():

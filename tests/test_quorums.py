@@ -9,9 +9,8 @@ from quorumcycles.quorums import (InfeasibleRedundancyError, QuorumBase,
                                   bundled_base, difference_counts,
                                   estimate_khat, generate_quorums,
                                   is_r_redundant, load_base, lower_bound_k,
-                                  pair_algebra, pair_coverage, save_base,
-                                  search_min_base, shift_counts,
-                                  sizing_estimate, verify_quorum_set)
+                                  pair_coverage, save_base, search_min_base,
+                                  verify_quorum_set)
 
 from oracles import (distance_counts_by_enumeration, min_base_exhaustive,
                      redundant_by_enumeration, rotated_quorums)
@@ -34,23 +33,10 @@ def test_lower_bound_anchor_values():
     assert lower_bound_k(14) == 5
 
 
-def test_pair_algebra_values():
-    assert pair_algebra(7, 3) == (3, 21)
-    assert pair_algebra(14, 5) == (10, 140)
-    assert pair_algebra(4, 1) == (0, 0)
-
-
 def test_estimate_khat_values():
     assert estimate_khat(5, 1) == 5
     assert estimate_khat(5, 2) == 8
     assert estimate_khat(5, 3) == 9
-
-
-def test_sizing_estimate_consistency():
-    est = sizing_estimate(14, 5, 2)
-    assert est.k_hat == 8
-    assert est.total_pairs == 140
-    assert est.k_hat >= est.k
 
 
 def test_difference_counts_small_bases():
@@ -66,15 +52,6 @@ def test_difference_counts_match_enumeration(nm):
     n, members = nm
     got = difference_counts(base(n, members))
     assert got == distance_counts_by_enumeration(members, n)
-
-
-@settings(max_examples=300)
-@given(base_strategy())
-def test_shift_count_symmetry(nm):
-    n, members = nm
-    counts = shift_counts(base(n, members))
-    for d in range(1, n):
-        assert counts[d] == counts[n - d]
 
 
 def test_is_r_redundant_examples():

@@ -22,6 +22,8 @@ from quorumcycles import (
     save_base,
 )
 
+from quorumcycles import report
+
 from oracles import mean_interval
 
 
@@ -194,6 +196,16 @@ def test_run_experiment_rejects_weak_base(tmp_path):
     spec = tri_spec(tmp_path, base_files=((1, str(base_path)),))
     with pytest.raises(ExperimentError, match="redundant"):
         run_experiment(spec)
+
+
+def test_run_experiment_base_programming_error_propagates(tmp_path,
+                                                        monkeypatch):
+    def broken(n, r):
+        raise TypeError("bug in base lookup")
+
+    monkeypatch.setattr(report, "bundled_base", broken)
+    with pytest.raises(TypeError, match="bug in base lookup"):
+        run_experiment(tri_spec(tmp_path))
 
 
 def test_run_experiment_unroutable_topology(tmp_path):
