@@ -78,7 +78,15 @@ def test_triangle_paired_per_scenario():
     assert got == {(1, 2): 6, (1, 3): 6, (2, 3): 4}
 
 
-def test_evaluate_counts_in_scenario_order(triangle):
+def test_coverage_sample_fields():
+    scenario = FaultScenario(failed_edges=((2, 3),))
+    total = TRI_PLAN.n * (TRI_PLAN.n - 1)
+    assert total == 6
+    assert evaluate(TRI_PLAN, [scenario])[0] / total == pytest.approx(4 / 6)
+    assert scenario.order == 1
+
+
+def test_simulate_sink_receives_every_sample(triangle):
     scenarios = list(enumerate_faults(triangle, 1))
     assert evaluate(TRI_PLAN, scenarios) == [6, 6, 4]
     assert evaluate(TRI_PLAN, scenarios[::-1]) == [4, 6, 6]
