@@ -9,7 +9,7 @@ coverage across randomized node mappings.
 from .topology import (BUNDLED, NodeMapping, Topology, TopologyError,
                        bundled_topology, find_bridges, generate_mappings,
                        load_topology, parse_topology, relabel,
-                       serialize_topology, topology_to_json, validate)
+                       serialize_topology, topology_to_json)
 from .quorums import (InfeasibleRedundancyError, PairCoverage, QuorumBase,
                       QuorumSet, SearchBudget, SearchBudgetExhausted,
                       SearchResult, VerificationReport, bundled_base,
@@ -47,5 +47,5 @@ __all__ = [
     "pair_coverage", "parse_rows_csv", "parse_topology", "ratio_bfs",
     "relabel", "route_all", "route_cycle", "run_experiment", "save_base",
     "search_min_base", "serialize_topology", "served_pairs_cycle",
-    "served_pairs_plan", "topology_to_json", "validate", "verify_quorum_set",
+    "served_pairs_plan", "topology_to_json", "verify_quorum_set",
 ]

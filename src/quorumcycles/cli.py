@@ -22,19 +22,24 @@ from pathlib import Path
 
 from .faultsim import enumerate_faults, evaluate
 from .lighttrail import DeploymentPlan, FaultModel, TrailMode
-from .quorums import (SearchBudget, generate_quorums, load_base, save_base,
-                      search_min_base, verify_quorum_set)
+from .quorums import (DEFAULT_SEARCH_BUDGET, QuorumBase, SearchBudget,
+                      generate_quorums, load_base, save_base, search_min_base,
+                      verify_quorum_set)
 from .routing import RoutingInfeasibleError, route_all
-from .topology import (BUNDLED, NodeMapping, bundled_topology,
+from .topology import (BUNDLED, NodeMapping, Topology, bundled_topology,
                        generate_mappings, load_topology)
 
-DEFAULT_SEARCH_BUDGET = 2_000_000
 
-
-def _topology(ref: str):
-    if ref in BUNDLED:
-        return bundled_topology(ref)
-    return load_topology(ref)
+def _load_network(args) -> tuple[Topology, QuorumBase]:
+    """The --topology and --base-file inputs, checked to be the same size."""
+    if args.topology in BUNDLED:
+        g = bundled_topology(args.topology)
+    else:
+        g = load_topology(args.topology)
+    base = load_base(args.base_file)
+    if base.n != g.n:
+        raise ValueError(f"base is for n={base.n}, topology has n={g.n}")
+    return g, base
 
 
 def _cmd_quorum_search(args) -> int:
@@ -73,12 +78,7 @@ def _mapping_for(args, n: int) -> NodeMapping:
 
 
 def _cmd_route(args) -> int:
-    g = _topology(args.topology)
-    base = load_base(args.base_file)
-    if base.n != g.n:
-        print(f"error: base is for n={base.n}, topology has n={g.n}",
-              file=sys.stderr)
-        return 1
+    g, base = _load_network(args)
     mapping = _mapping_for(args, g.n)
     cycles = route_all(g, generate_quorums(base), mapping)
     total = 0
@@ -92,12 +92,7 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    g = _topology(args.topology)
-    base = load_base(args.base_file)
-    if base.n != g.n:
-        print(f"error: base is for n={base.n}, topology has n={g.n}",
-              file=sys.stderr)
-        return 1
+    g, base = _load_network(args)
     qs = generate_quorums(base)
     mode = TrailMode(args.mode)
     model = FaultModel(args.fault_model)

@@ -12,10 +12,6 @@ truncated model the two hub-adjacent fragments of a trail keep working
 break back to the hub); anything between two breaks goes dark.  The
 pessimistic whole-cycle model instead silences a cycle entirely when any
 of its links fails.
-
-Hub retransmission (receive at the hub, convert, and re-send on the
-outgoing side) is modeled but off by default: pairs served only via such
-opto-electronic relaying are not counted unless hub_relay=True.
 """
 
 from __future__ import annotations
@@ -61,10 +57,6 @@ class ServedPairs:
     n: int
     bits: int
 
-    @classmethod
-    def empty(cls, n: int) -> "ServedPairs":
-        return cls(n=n, bits=0)
-
     @property
     def count(self) -> int:
         return self.bits.bit_count()
@@ -76,11 +68,6 @@ class ServedPairs:
     def __contains__(self, pair: tuple[int, int]) -> bool:
         a, b = pair
         return bool(self.bits >> ((a - 1) * self.n + (b - 1)) & 1)
-
-    def __or__(self, other: "ServedPairs") -> "ServedPairs":
-        if self.n != other.n:
-            raise ValueError("cannot union served sets of different sizes")
-        return ServedPairs(n=self.n, bits=self.bits | other.bits)
 
     def pairs(self) -> frozenset[tuple[int, int]]:
         n, bits = self.n, self.bits
@@ -113,25 +100,8 @@ def _orientation_bits(seq: tuple[int, ...], n: int,
     return _segment_bits(seq[: first + 1], n) | _segment_bits(seq[last + 1:], n)
 
 
-def _relay_bits(bits: int, hub: int, n: int) -> int:
-    """Pairs (a, b) where the hub can receive from a and re-send to b."""
-    hub_row = (hub - 1) * n
-    senders = [a for a in range(1, n + 1)
-               if a != hub and bits >> ((a - 1) * n + hub - 1) & 1]
-    receivers = [b for b in range(1, n + 1)
-                 if b != hub and bits >> (hub_row + b - 1) & 1]
-    extra = 0
-    for a in senders:
-        row = (a - 1) * n - 1
-        for b in receivers:
-            if b != a:
-                extra |= 1 << (row + b)
-    return extra
-
-
 def _cycle_bits(cycle: CycleRoute, mode: TrailMode, n: int,
-                failed: frozenset[Edge], fault_model: FaultModel,
-                hub_relay: bool) -> int:
+                failed: frozenset[Edge], fault_model: FaultModel) -> int:
     on_cycle = failed & cycle.edges
     if fault_model is FaultModel.WHOLE_CYCLE and on_cycle:
         return 0
@@ -146,29 +116,24 @@ def _cycle_bits(cycle: CycleRoute, mode: TrailMode, n: int,
             bits |= _orientation_bits(seq, n, positions)
         else:
             bits |= _segment_bits(seq, n)
-    if hub_relay:
-        bits |= _relay_bits(bits, cycle.hub, n)
     return bits
 
 
 def served_pairs_cycle(cycle: CycleRoute, mode: TrailMode, n: int,
-                       failed_edges=(), fault_model: FaultModel = FaultModel.TRUNCATED,
-                       hub_relay: bool = False) -> ServedPairs:
+                       failed_edges=(),
+                       fault_model: FaultModel = FaultModel.TRUNCATED) -> ServedPairs:
     """Ordered pairs served by one cycle's trails under the given faults."""
     failed = frozenset(canonical_edge(u, v) for u, v in failed_edges)
-    return ServedPairs(n=n, bits=_cycle_bits(cycle, mode, n, failed,
-                                             fault_model, hub_relay))
+    return ServedPairs(n=n, bits=_cycle_bits(cycle, mode, n, failed, fault_model))
 
 
 def served_pairs_plan(plan: DeploymentPlan, failed_edges=(),
-                      fault_model: FaultModel = FaultModel.TRUNCATED,
-                      hub_relay: bool = False) -> ServedPairs:
+                      fault_model: FaultModel = FaultModel.TRUNCATED) -> ServedPairs:
     """Union of served pairs over all cycles in the plan."""
     failed = frozenset(canonical_edge(u, v) for u, v in failed_edges)
     bits = 0
     for cycle in plan.cycles:
-        bits |= _cycle_bits(cycle, plan.mode, plan.n, failed,
-                            fault_model, hub_relay)
+        bits |= _cycle_bits(cycle, plan.mode, plan.n, failed, fault_model)
     return ServedPairs(n=plan.n, bits=bits)
 
 
@@ -188,9 +153,9 @@ class MissingPairs:
     pairs: tuple[tuple[int, int], ...]
 
 
-def missing_pairs(plan: DeploymentPlan, hub_relay: bool = False) -> MissingPairs:
+def missing_pairs(plan: DeploymentPlan) -> MissingPairs:
     """Ordered pairs no trail serves even with every link healthy."""
-    served = served_pairs_plan(plan, hub_relay=hub_relay)
+    served = served_pairs_plan(plan)
     total = served.total
     have = served.pairs()
     gaps = tuple(sorted(

@@ -109,6 +109,10 @@ class SearchBudget:
     max_nodes: int | None = None
 
 
+# node cap per size level used by the CLI and by reports that must search
+DEFAULT_SEARCH_BUDGET = 2_000_000
+
+
 @dataclass(frozen=True)
 class SearchResult:
     base: QuorumBase

@@ -24,9 +24,9 @@ from typing import Sequence
 from .faultsim import enumerate_faults, evaluate
 from .lighttrail import (DeploymentPlan, FaultModel, TrailMode, links_used,
                          missing_pairs)
-from .quorums import (QuorumBase, SearchBudget, SearchBudgetExhausted,
-                      bundled_base, generate_quorums, is_r_redundant,
-                      load_base, search_min_base)
+from .quorums import (DEFAULT_SEARCH_BUDGET, QuorumBase, SearchBudget,
+                      SearchBudgetExhausted, bundled_base, generate_quorums,
+                      is_r_redundant, load_base, search_min_base)
 from .routing import RoutingInfeasibleError, route_all
 from .topology import (BUNDLED, bundled_topology, generate_mappings,
                        load_topology)
@@ -58,7 +58,6 @@ class CISummary:
     lo: float
     hi: float
     n: int
-    level: float = 0.95
 
     def __post_init__(self):
         if not self.lo <= self.mean <= self.hi:
@@ -66,10 +65,8 @@ class CISummary:
                 f"interval [{self.lo}, {self.hi}] does not bracket {self.mean}")
 
 
-def mean_ci(samples: Sequence[float], level: float = 0.95) -> CISummary:
-    """Mean with normal-approximation confidence interval (z = 1.96)."""
-    if level != 0.95:
-        raise ValueError("only the 0.95 level is supported")
+def mean_ci(samples: Sequence[float]) -> CISummary:
+    """Mean with normal-approximation 95% confidence interval (z = 1.96)."""
     n = len(samples)
     if n < 2:
         raise InsufficientSamplesError(
@@ -104,6 +101,11 @@ class ExperimentSpec:
             raise ValueError(f"fault orders must be 1 or 2: {self.fault_orders}")
         if self.mapping_count < 1:
             raise ValueError(f"mapping count must be >= 1: {self.mapping_count}")
+        # a repeated value would route, evaluate and emit the same cells twice
+        for field in ("r_values", "modes", "fault_orders"):
+            values = getattr(self, field)
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate entries in {field}: {values}")
 
 
 @dataclass(frozen=True)
@@ -120,10 +122,6 @@ class ResultRow:
     hi: float
     n: int
     excluded: int
-
-    @property
-    def summary(self) -> CISummary:
-        return CISummary(mean=self.mean, lo=self.lo, hi=self.hi, n=self.n)
 
 
 _COLUMNS = ("network", "r", "mode", "metric", "fault_order",
@@ -169,8 +167,7 @@ def _spec_from_dict(d: dict, base_dir: Path) -> ExperimentSpec:
     return spec
 
 
-def _resolve_base(n: int, r: int, base_files: dict[int, str],
-                  search_budget: int) -> QuorumBase:
+def _resolve_base(n: int, r: int, base_files: dict[int, str]) -> QuorumBase:
     path = base_files.get(r)
     if path is not None:
         base = load_base(path)
@@ -185,12 +182,11 @@ def _resolve_base(n: int, r: int, base_files: dict[int, str],
     bundled = bundled_base(n, r)
     if bundled is not None:
         return bundled
-    result = search_min_base(n, r, SearchBudget(max_nodes=search_budget))
+    result = search_min_base(n, r, SearchBudget(max_nodes=DEFAULT_SEARCH_BUDGET))
     return result.base
 
 
-def run_experiment(spec: ExperimentSpec, *,
-                   search_budget: int = 2_000_000) -> list[ResultRow]:
+def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """All result rows for one spec; deterministic given the spec."""
     if spec.topology in BUNDLED:
         g = bundled_topology(spec.topology)
@@ -205,7 +201,7 @@ def run_experiment(spec: ExperimentSpec, *,
     rows: list[ResultRow] = []
     for r in spec.r_values:
         try:
-            base = _resolve_base(g.n, r, base_files, search_budget)
+            base = _resolve_base(g.n, r, base_files)
         except (OSError, ValueError, SearchBudgetExhausted) as exc:
             raise ExperimentError(
                 f"{spec.network} r={r}: no usable quorum base ({exc})",

@@ -87,35 +87,6 @@ def _components(t: Topology) -> list[set[int]]:
     return out
 
 
-def validate(t: Topology) -> list[str]:
-    """Return a list of human-readable violations (empty when valid)."""
-    violations = []
-    if t.n < 1:
-        violations.append(f"node count must be positive, got {t.n}")
-        return violations
-    seen: set[Edge] = set()
-    for u, v in t.edges:
-        if u == v:
-            violations.append(f"self-loop at node {u}")
-            continue
-        if not (1 <= u <= t.n and 1 <= v <= t.n):
-            violations.append(f"edge ({u}, {v}) out of range 1..{t.n}")
-            continue
-        e = canonical_edge(u, v)
-        if e in seen:
-            violations.append(f"duplicate edge ({e[0]}, {e[1]})")
-        seen.add(e)
-    if not violations:
-        comps = _components(t)
-        if len(comps) > 1:
-            smallest = min(comps, key=lambda c: (len(c), min(c)))
-            violations.append(
-                f"graph is disconnected ({len(comps)} components; "
-                f"e.g. nodes {sorted(smallest)} are isolated from the rest)"
-            )
-    return violations
-
-
 def _build(n: int, raw_edges: list[tuple[int, int]], lines: list[int] | None = None) -> Topology:
     """Canonicalize, validate, and construct; raises TopologyError."""
     canon = []
@@ -131,10 +102,15 @@ def _build(n: int, raw_edges: list[tuple[int, int]], lines: list[int] | None = N
             raise TopologyError(f"duplicate edge ({e[0]}, {e[1]})", line)
         seen.add(e)
         canon.append(e)
+    if n < 1:
+        raise TopologyError(f"node count must be positive, got {n}")
     t = Topology(n=n, edges=tuple(sorted(canon)))
-    problems = validate(t)
-    if problems:
-        raise TopologyError("; ".join(problems))
+    comps = _components(t)
+    if len(comps) > 1:
+        smallest = min(comps, key=lambda c: (len(c), min(c)))
+        raise TopologyError(
+            f"graph is disconnected ({len(comps)} components; "
+            f"e.g. nodes {sorted(smallest)} are isolated from the rest)")
     return t
 
 
@@ -261,7 +237,6 @@ class NodeMapping:
     """Bijective renumbering of 1..n; perm[i-1] is the image of node i."""
 
     perm: tuple[int, ...]
-    seed: int
 
     def __post_init__(self):
         if sorted(self.perm) != list(range(1, len(self.perm) + 1)):
@@ -275,8 +250,8 @@ class NodeMapping:
         return self.perm[node - 1]
 
     @classmethod
-    def identity(cls, n: int, seed: int = 0) -> "NodeMapping":
-        return cls(perm=tuple(range(1, n + 1)), seed=seed)
+    def identity(cls, n: int) -> "NodeMapping":
+        return cls(perm=tuple(range(1, n + 1)))
 
 
 def relabel(nodes: frozenset[int] | set[int], m: NodeMapping) -> frozenset[int]:
@@ -292,7 +267,7 @@ def generate_mappings(n: int, count: int, seed: int) -> list[NodeMapping]:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    mappings = [NodeMapping.identity(n, seed=seed)]
+    mappings = [NodeMapping.identity(n)]
     rng = random.Random(seed)
     for _ in range(count - 1):
         perm = list(range(1, n + 1))
@@ -300,5 +275,5 @@ def generate_mappings(n: int, count: int, seed: int) -> list[NodeMapping]:
         for i in range(n - 1, 0, -1):
             j = rng.randrange(i + 1)
             perm[i], perm[j] = perm[j], perm[i]
-        mappings.append(NodeMapping(perm=tuple(perm), seed=seed))
+        mappings.append(NodeMapping(perm=tuple(perm)))
     return mappings

@@ -297,6 +297,18 @@ def test_report_bad_spec(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_report_rejects_duplicate_spec_entries(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "topology": "nsfnet", "r": [1, 1], "modes": ["paired", "paired"],
+        "fault_orders": [1, 1], "mappings": 2, "seed": 0,
+    }))
+    code, out, err = run(capsys, "report", "--spec-file", str(spec),
+                         "--format", "csv")
+    assert (code, out) == (1, "")
+    assert err == "error: duplicate entries in r_values: (1, 1)\n"
+
+
 # ------------------------------------------------------------------- misc
 
 def test_unknown_subcommand_exits_2():

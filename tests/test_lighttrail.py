@@ -31,7 +31,7 @@ def plan(mode, *cycles, n=4):
 # ---------------------------------------------------------------- ServedPairs
 
 def test_served_pairs_empty():
-    sp = ServedPairs.empty(5)
+    sp = ServedPairs(n=5, bits=0)
     assert sp.count == 0
     assert sp.total == 20
     assert sp.pairs() == frozenset()
@@ -50,21 +50,6 @@ def test_served_pairs_contains_and_pairs():
         (4, 1),
     }
     assert sp.count == 9
-
-
-def test_served_pairs_union():
-    fwd = served_pairs_cycle(SQUARE, TrailMode.SINGLE, 4)
-    rev = served_pairs_cycle(
-        CycleRoute(sequence=(1, 4, 3, 2, 1), hub=1), TrailMode.SINGLE, 4)
-    both = fwd | rev
-    assert both.count == 12
-    assert both.pairs() == {(a, b) for a in range(1, 5)
-                            for b in range(1, 5) if a != b}
-
-
-def test_served_pairs_union_size_mismatch():
-    with pytest.raises(ValueError, match="different sizes"):
-        ServedPairs.empty(3) | ServedPairs.empty(4)
 
 
 # ------------------------------------------------------------- fault-free
@@ -200,25 +185,6 @@ def test_missing_pairs_paired_complete():
     assert mp.count == 0
     assert mp.percent == 0.0
     assert mp.pairs == ()
-
-
-# ------------------------------------------------------------- hub relay
-
-def test_hub_relay_completes_single_ring():
-    p = plan(TrailMode.SINGLE, SQUARE)
-    assert served_pairs_plan(p, hub_relay=True).count == 12
-    assert missing_pairs(p, hub_relay=True).count == 0
-
-
-def test_hub_relay_defaults_off():
-    assert served_pairs_plan(plan(TrailMode.SINGLE, SQUARE)).count == 9
-
-
-def test_hub_relay_respects_faults():
-    # with (1,2) down the hub cannot re-send to 2 on the forward trail
-    sp = served_pairs_cycle(SQUARE, TrailMode.SINGLE, 4,
-                            failed_edges=[(1, 2)], hub_relay=True)
-    assert (3, 2) not in sp
 
 
 # ------------------------------------------------------------- properties

@@ -51,11 +51,6 @@ def test_mean_ci_needs_two_samples():
         mean_ci([])
 
 
-def test_mean_ci_only_95_level():
-    with pytest.raises(ValueError, match="0.95"):
-        mean_ci([1.0, 2.0], level=0.90)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=40))
 def test_mean_ci_matches_closed_form(samples):
@@ -80,7 +75,10 @@ def test_spec_validation():
     ExperimentSpec(**good)
     for field, value in [("network", ""), ("r_values", ()),
                          ("r_values", (0,)), ("modes", ()),
-                         ("fault_orders", (3,)), ("mapping_count", 0)]:
+                         ("fault_orders", (3,)), ("mapping_count", 0),
+                         ("r_values", (1, 2, 1)),
+                         ("modes", (TrailMode.PAIRED, TrailMode.PAIRED)),
+                         ("fault_orders", (1, 1))]:
         with pytest.raises(ValueError):
             ExperimentSpec(**{**good, field: value})
 

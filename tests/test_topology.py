@@ -8,8 +8,7 @@ from quorumcycles.topology import (BUNDLED, NodeMapping, Topology,
                                    TopologyError, bundled_topology,
                                    find_bridges, generate_mappings,
                                    parse_topology, relabel,
-                                   serialize_topology, topology_to_json,
-                                   validate)
+                                   serialize_topology, topology_to_json)
 
 from oracles import random_connected_graph
 
@@ -50,26 +49,20 @@ def test_out_of_range_endpoint_rejected():
 def test_disconnected_graph_rejected():
     with pytest.raises(TopologyError, match="disconnected"):
         parse_topology("n 4\n1 2\n3 4\n")
+    with pytest.raises(TopologyError, match=r"e\.g\. nodes \[4\] are isolated"):
+        parse_topology("n 4\n1 2\n2 3\n1 3\n")
+
+
+def test_nonpositive_node_count_rejected():
+    with pytest.raises(TopologyError,
+                       match="node count must be positive, got 0") as info:
+        parse_topology("n 0\n")
+    assert info.value.line is None
 
 
 def test_missing_header_rejected():
     with pytest.raises(TopologyError, match="header"):
         parse_topology("1 2\n2 3\n")
-
-
-def test_validate_clean_triangle(triangle):
-    assert validate(triangle) == []
-
-
-def test_validate_reports_isolated_node():
-    t = Topology(n=4, edges=((1, 2), (2, 3), (1, 3)))
-    problems = validate(t)
-    assert len(problems) == 1 and "disconnected" in problems[0]
-
-
-def test_validate_reports_self_loop():
-    t = Topology(n=2, edges=((1, 1), (1, 2)))
-    assert any("self-loop" in p for p in validate(t))
 
 
 def test_serialize_round_trip(square):
@@ -90,7 +83,6 @@ def test_round_trip_on_random_graphs(data):
     rng = _random.Random(seed)
     edges = random_connected_graph(rng, n, extra_edges=rng.randrange(0, n))
     t = Topology(n=n, edges=tuple(edges))
-    assert validate(t) == []
     assert parse_topology(serialize_topology(t)) == t
     assert parse_topology(topology_to_json(t)) == t
 
@@ -102,7 +94,6 @@ def test_bundled_shapes():
     for name in BUNDLED:
         t = bundled_topology(name)
         assert (t.n, len(t.edges)) == expected[name]
-        assert validate(t) == []
         assert not find_bridges(t), f"{name} should be bridge-free"
 
 
@@ -135,11 +126,11 @@ def test_find_bridges_barbell():
 
 def test_mapping_rejects_non_bijection():
     with pytest.raises(ValueError, match="permutation"):
-        NodeMapping(perm=(1, 1, 3), seed=0)
+        NodeMapping(perm=(1, 1, 3))
 
 
 def test_mapping_apply_and_identity():
-    m = NodeMapping(perm=(3, 1, 2), seed=5)
+    m = NodeMapping(perm=(3, 1, 2))
     assert [m.apply(v) for v in (1, 2, 3)] == [3, 1, 2]
     assert NodeMapping.identity(4).perm == (1, 2, 3, 4)
 
@@ -147,7 +138,7 @@ def test_mapping_apply_and_identity():
 def test_relabel_identity_and_swap():
     ident = NodeMapping.identity(5)
     assert relabel({1, 2}, ident) == {1, 2}
-    swap = NodeMapping(perm=(3, 2, 1, 4, 5), seed=0)
+    swap = NodeMapping(perm=(3, 2, 1, 4, 5))
     assert relabel({1, 2}, swap) == {3, 2}
     assert relabel(set(range(1, 6)), swap) == set(range(1, 6))
 
