@@ -102,20 +102,15 @@ def _orientation_bits(seq: tuple[int, ...], n: int,
 
 def _cycle_bits(cycle: CycleRoute, mode: TrailMode, n: int,
                 failed: frozenset[Edge], fault_model: FaultModel) -> int:
-    on_cycle = failed & cycle.edges
-    if fault_model is FaultModel.WHOLE_CYCLE and on_cycle:
+    positions = [i for i, edge in enumerate(cycle.edge_list) if edge in failed]
+    if fault_model is FaultModel.WHOLE_CYCLE and positions:
         return 0
-    orientations = [cycle.sequence]
+    bits = _orientation_bits(cycle.sequence, n, positions)
     if mode is TrailMode.PAIRED:
-        orientations.append(cycle.sequence[::-1])
-    bits = 0
-    for seq in orientations:
-        if on_cycle:
-            positions = [i for i, (a, b) in enumerate(zip(seq, seq[1:]))
-                         if canonical_edge(a, b) in on_cycle]
-            bits |= _orientation_bits(seq, n, positions)
-        else:
-            bits |= _segment_bits(seq, n)
+        # the counter-directional trail crosses the same links back to front
+        last = cycle.length - 1
+        bits |= _orientation_bits(cycle.sequence[::-1], n,
+                                  [last - i for i in reversed(positions)])
     return bits
 
 

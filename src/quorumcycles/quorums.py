@@ -56,8 +56,9 @@ class QuorumBase:
         object.__setattr__(self, "members", members)
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
-        if self.r < 1:
-            raise ValueError(f"r must be positive, got {self.r}")
+        # type() rather than isinstance(): True would otherwise pass as 1
+        if type(self.r) is not int or self.r < 1:
+            raise ValueError(f"r must be a positive int, got {self.r!r}")
         if not members or members[0] != 1:
             raise ValueError("base must contain node 1")
         if members[-1] > self.n:
@@ -336,8 +337,8 @@ def search_min_base(n: int, r: int, budget: SearchBudget | None = None) -> Searc
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if r < 1:
-        raise ValueError(f"r must be positive, got {r}")
+    if type(r) is not int or r < 1:
+        raise ValueError(f"r must be a positive int, got {r!r}")
     if n == 1:
         return SearchResult(base=QuorumBase(n=1, r=r, members=(1,)),
                             proven_minimal=True, nodes_explored=0)
@@ -390,9 +391,8 @@ def save_base(result: SearchResult | QuorumBase, path: str):
         fh.write("\n")
 
 
-def load_base(path: str) -> QuorumBase:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+def _parse_base(text: str, path) -> QuorumBase:
+    payload = json.loads(text)
     for key in ("n", "r", "members"):
         if key not in payload:
             raise ValueError(f"base file {path} missing field {key!r}")
@@ -406,6 +406,11 @@ def load_base(path: str) -> QuorumBase:
     return base
 
 
+def load_base(path: str) -> QuorumBase:
+    with open(path, encoding="utf-8") as fh:
+        return _parse_base(fh.read(), path)
+
+
 def bundled_base(n: int, r: int) -> QuorumBase | None:
     """Precomputed base shipped with the package, or None if absent."""
     from importlib import resources
@@ -414,6 +419,4 @@ def bundled_base(n: int, r: int) -> QuorumBase | None:
     ref = resources.files(__package__) / "data" / "bases" / name
     if not ref.is_file():
         return None
-    payload = json.loads(ref.read_text(encoding="utf-8"))
-    return QuorumBase(n=payload["n"], r=payload["r"],
-                      members=tuple(payload["members"]))
+    return _parse_base(ref.read_text(encoding="utf-8"), name)

@@ -93,12 +93,13 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.network:
             raise ValueError("network name must be non-empty")
-        if not self.r_values or any(r < 1 for r in self.r_values):
-            raise ValueError(f"bad redundancy list: {self.r_values}")
+        # type() rather than isinstance(): true would otherwise pass as 1
+        if not self.r_values or any(type(r) is not int or r < 1 for r in self.r_values):
+            raise ValueError(f"r values must be positive ints: {self.r_values}")
         if not self.modes:
             raise ValueError("at least one trail mode is required")
-        if any(o not in (1, 2) for o in self.fault_orders):
-            raise ValueError(f"fault orders must be 1 or 2: {self.fault_orders}")
+        if any(type(o) is not int or o not in (1, 2) for o in self.fault_orders):
+            raise ValueError(f"fault orders must be ints 1 or 2: {self.fault_orders}")
         if self.mapping_count < 1:
             raise ValueError(f"mapping count must be >= 1: {self.mapping_count}")
         # a repeated value would route, evaluate and emit the same cells twice
@@ -149,7 +150,7 @@ def _spec_from_dict(d: dict, base_dir: Path) -> ExperimentSpec:
     try:
         topology = resolve(d["topology"])
         r_raw = d["r"]
-        r_values = tuple(r_raw) if isinstance(r_raw, list) else (int(r_raw),)
+        r_values = tuple(r_raw) if isinstance(r_raw, list) else (r_raw,)
         spec = ExperimentSpec(
             network=d.get("network", d["topology"]),
             topology=topology,

@@ -56,6 +56,11 @@ class RoutingInfeasibleError(RoutingError):
         super().__init__(message)
 
 
+def _walk_edges(seq: tuple[int, ...]):
+    """The links a node sequence crosses, in order, as a lazy iterator."""
+    return map(canonical_edge, seq, seq[1:])
+
+
 @dataclass(frozen=True)
 class CycleRoute:
     """Closed edge-distinct walk; starts and ends at its trail hub."""
@@ -72,7 +77,7 @@ class CycleRoute:
             raise ValueError("cycle sequence must return to its start")
         if seq[0] != self.hub:
             raise ValueError(f"cycle must start at its hub {self.hub}, got {seq[0]}")
-        edges = [canonical_edge(a, b) for a, b in zip(seq, seq[1:])]
+        edges = list(_walk_edges(seq))
         if len(set(edges)) != len(edges):
             raise ValueError(f"cycle reuses an edge: {list(seq)}")
 
@@ -82,8 +87,7 @@ class CycleRoute:
 
     @property
     def edge_list(self) -> tuple[Edge, ...]:
-        seq = self.sequence
-        return tuple(canonical_edge(a, b) for a, b in zip(seq, seq[1:]))
+        return tuple(_walk_edges(self.sequence))
 
     @property
     def edges(self) -> frozenset[Edge]:
@@ -122,6 +126,19 @@ def _layered_paths(g: Topology, source: int, cset: frozenset[int],
     return best
 
 
+def _rank(inside: int, path: tuple[int, ...]) -> tuple[Fraction, int, tuple[int, ...]]:
+    """Seed order: most members per path node, then fewer hops, then lexicographic."""
+    return (-Fraction(inside, len(path)), len(path) - 1, path)
+
+
+def _densest(g: Topology, source: int, members: frozenset[int],
+             banned: frozenset[Edge]) -> tuple[int, ...] | None:
+    """Best-ranked shortest path from source to another member, or None."""
+    best = _layered_paths(g, source, members, banned)
+    ranked = [_rank(*best[t]) for t in members if t != source and t in best]
+    return min(ranked)[-1] if ranked else None
+
+
 def ratio_bfs(g: Topology, source: int, c: frozenset[int] | set[int]) -> tuple[int, ...]:
     """Best seed path from source to some other member of c.
 
@@ -132,21 +149,14 @@ def ratio_bfs(g: Topology, source: int, c: frozenset[int] | set[int]) -> tuple[i
     cset = frozenset(c)
     if source not in cset:
         raise ValueError(f"source {source} is not in the communication set")
-    targets = sorted(cset - {source})
-    if not targets:
+    if len(cset) < 2:
         raise ValueError("communication set needs a second member to aim for")
-    best = _layered_paths(g, source, cset)
-    ranked = []
-    for t in targets:
-        if t not in best:
-            continue
-        cnt, path = best[t]
-        ranked.append((-Fraction(cnt, len(path)), len(path) - 1, path))
-    if not ranked:
+    path = _densest(g, source, cset, frozenset())
+    if path is None:
         raise RoutingInfeasibleError(
             f"no member of {sorted(cset)} reachable from {source}"
         )
-    return min(ranked)[2]
+    return path
 
 
 def _shortest_avoiding(g: Topology, start: int, goal: int, banned: frozenset[Edge],
@@ -166,7 +176,7 @@ def close_cycle(g: Topology, path: tuple[int, ...],
     """
     if len(path) < 2:
         raise ValueError("path needs at least one edge to close")
-    used = frozenset(canonical_edge(a, b) for a, b in zip(path, path[1:]))
+    used = frozenset(_walk_edges(path))
     ret = _shortest_avoiding(g, path[-1], path[0], used, frozenset(c))
     if ret is None:
         raise NoReturnPathError(tuple(path))
@@ -183,14 +193,12 @@ def _detour(g: Topology, a: int, v: int, b: int, banned: frozenset[Edge],
     candidates = []
     first = _shortest_avoiding(g, a, v, banned, cset)
     if first is not None:
-        used = banned | frozenset(canonical_edge(x, y) for x, y in zip(first, first[1:]))
-        second = _shortest_avoiding(g, v, b, used, cset)
+        second = _shortest_avoiding(g, v, b, banned.union(_walk_edges(first)), cset)
         if second is not None:
             candidates.append(first + second[1:])
     back = _shortest_avoiding(g, v, b, banned, cset)
     if back is not None:
-        used = banned | frozenset(canonical_edge(x, y) for x, y in zip(back, back[1:]))
-        fore = _shortest_avoiding(g, a, v, used, cset)
+        fore = _shortest_avoiding(g, a, v, banned.union(_walk_edges(back)), cset)
         if fore is not None:
             candidates.append(fore + back[1:])
     if not candidates:
@@ -210,7 +218,7 @@ def insert_missing(g: Topology, route: CycleRoute, v: int,
     if v in seq:
         raise ValueError(f"node {v} is already on the cycle")
     cset = frozenset(c)
-    cycle_edges = [canonical_edge(a, b) for a, b in zip(seq, seq[1:])]
+    cycle_edges = list(_walk_edges(seq))
     all_edges = frozenset(cycle_edges)
     best: tuple[int, int, tuple[int, ...]] | None = None
     for pos in range(len(cycle_edges)):
@@ -238,16 +246,8 @@ def _separating_bridges(g: Topology, cset: frozenset[int]) -> list[Edge]:
     """Bridges with communication members on both sides (the offending cuts)."""
     out = []
     for bridge in sorted(find_bridges(g)):
-        side = {bridge[0]}
-        stack = [bridge[0]]
-        while stack:
-            u = stack.pop()
-            for w in g.adjacency[u]:
-                if w not in side and canonical_edge(u, w) != bridge:
-                    side.add(w)
-                    stack.append(w)
-        inside = len(cset & side)
-        if 0 < inside < len(cset):
+        side = _layered_paths(g, bridge[0], frozenset(), frozenset({bridge}))
+        if 0 < len(cset.intersection(side)) < len(cset):
             out.append(bridge)
     return out
 
@@ -275,15 +275,9 @@ def _insert_all(g: Topology, route: CycleRoute, cset: frozenset[int]) -> CycleRo
         route = insert_missing(g, route, min(reachable)[1], cset)
 
 
-def _close_then_insert(g: Topology, seed: tuple[int, ...],
-                       cset: frozenset[int]) -> CycleRoute:
-    route = close_cycle(g, seed, cset)
-    return _insert_all(g, route, cset)
-
-
-def _collect_then_close(g: Topology, seed: tuple[int, ...],
-                        cset: frozenset[int]) -> CycleRoute:
-    """Grow the seed through the missing members, then close it.
+def _collect(g: Topology, seed: tuple[int, ...],
+             cset: frozenset[int]) -> tuple[int, ...]:
+    """Grow the seed through the missing members, for closing afterwards.
 
     Each extension leg is a shortest edge-unused path to some missing
     member, densest in missing members first.  Closing early and
@@ -291,20 +285,12 @@ def _collect_then_close(g: Topology, seed: tuple[int, ...],
     beats that on dense graphs.
     """
     path = tuple(seed)
-    while True:
-        missing = frozenset(cset - set(path))
-        if not missing:
-            break
-        used = frozenset(canonical_edge(a, b) for a, b in zip(path, path[1:]))
-        best = _layered_paths(g, path[-1], missing, used)
-        ranked = [(-Fraction(best[t][0], len(best[t][1])),
-                   len(best[t][1]) - 1, best[t][1])
-                  for t in sorted(missing) if t in best]
-        if not ranked:
+    while missing := cset.difference(path):
+        leg = _densest(g, path[-1], missing, frozenset(_walk_edges(path)))
+        if leg is None:
             raise NoReturnPathError(path)
-        path = path + min(ranked)[2][1:]
-    route = close_cycle(g, path, cset)
-    return _insert_all(g, route, cset)
+        path += leg[1:]
+    return path
 
 
 def route_cycle(g: Topology, c: frozenset[int] | set[int],
@@ -332,26 +318,25 @@ def route_cycle(g: Topology, c: frozenset[int] | set[int],
     if len(cset) == 1:
         seeds = [(hub, w) for w in g.adjacency[hub]]
     else:
-        ranked = []
+        seeds = []
         for src in sorted(cset):
             try:
-                path = ratio_bfs(g, src, cset)
+                seeds.append(ratio_bfs(g, src, cset))
             except RoutingInfeasibleError:
                 continue
-            cnt = sum(1 for x in path if x in cset)
-            ranked.append((-Fraction(cnt, len(path)), len(path) - 1, path))
-        if not ranked:
+        if not seeds:
             raise RoutingInfeasibleError(
                 f"members of {sorted(cset)} are mutually unreachable"
             )
-        seeds = [item[2] for item in sorted(ranked)]
+        seeds.sort(key=lambda path: _rank(len(cset.intersection(path)), path))
 
     last_error: RoutingError | None = None
     best: tuple[int, tuple[int, ...]] | None = None
     for seed in seeds:
-        for finish in (_close_then_insert, _collect_then_close):
+        for grow in (False, True):
             try:
-                route = finish(g, seed, cset)
+                path = _collect(g, seed, cset) if grow else seed
+                route = _insert_all(g, close_cycle(g, path, cset), cset)
             except (NoReturnPathError, InsertionInfeasibleError) as exc:
                 last_error = exc
                 continue

@@ -197,6 +197,15 @@ def test_load_rejects_inconsistent_k_hat(tmp_path):
         load_base(str(path))
 
 
+@pytest.mark.parametrize("r", [1.5, 2.0, "2", True])
+def test_non_int_redundancy_rejected(r):
+    with pytest.raises(ValueError, match="r must be a positive int"):
+        QuorumBase(n=14, r=r, members=(1, 2, 3, 4, 8))
+    for n in (1, 14):
+        with pytest.raises(ValueError, match="r must be a positive int"):
+            search_min_base(n, r)
+
+
 def test_bundled_bases_verify():
     sizes = {14: 5, 20: 6, 24: 6, 54: 9}  # r=1 quorum sizes shipped
     for n, k1 in sizes.items():

@@ -78,7 +78,10 @@ def test_spec_validation():
                          ("fault_orders", (3,)), ("mapping_count", 0),
                          ("r_values", (1, 2, 1)),
                          ("modes", (TrailMode.PAIRED, TrailMode.PAIRED)),
-                         ("fault_orders", (1, 1))]:
+                         ("fault_orders", (1, 1)),
+                         ("r_values", (1.5,)), ("r_values", ("2",)),
+                         ("r_values", (True,)), ("fault_orders", (True,)),
+                         ("fault_orders", (2.0,))]:
         with pytest.raises(ValueError):
             ExperimentSpec(**{**good, field: value})
 
@@ -112,6 +115,11 @@ def test_load_spec_scalar_r_and_defaults(tmp_path):
     assert spec.r_values == (2,)
     assert spec.modes == (TrailMode.PAIRED,)
     assert spec.fault_orders == (1,)
+    # a scalar is checked like a list entry, not truncated to an int
+    p.write_text(json.dumps({"topology": "nsfnet", "r": 1.5,
+                             "mappings": 4, "seed": 0}))
+    with pytest.raises(ValueError, match="r values must be positive ints"):
+        load_experiment_spec(p)
 
 
 def test_load_spec_resolves_relative_paths(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quorumcycles.quorums import QuorumBase, generate_quorums
+from quorumcycles import routing
+from quorumcycles.quorums import QuorumBase, bundled_base, generate_quorums
 from quorumcycles.routing import (CycleRoute, InsertionInfeasibleError,
                                   NoReturnPathError, RoutingInfeasibleError,
                                   close_cycle, insert_missing, ratio_bfs,
                                   route_all, route_cycle)
-from quorumcycles.topology import NodeMapping, Topology, bundled_topology
+from quorumcycles.topology import (NodeMapping, Topology, bundled_topology,
+                                   generate_mappings)
 
 from conftest import adjacency_dict
 from oracles import all_c_paths, minimal_cycle_length, random_connected_graph
@@ -187,8 +190,9 @@ def test_route_cycle_singleton_uses_girth(square):
 
 def test_route_cycle_across_bridge_fails():
     g = graph(6, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
-    with pytest.raises(RoutingInfeasibleError, match="bridge"):
+    with pytest.raises(RoutingInfeasibleError) as info:
         route_cycle(g, {1, 5})
+    assert str(info.value).endswith("; bridges separating the set: [(3, 4)]")
 
 
 def test_route_cycle_deterministic(k4):
@@ -253,3 +257,43 @@ def test_route_all_nsfnet_r1():
     for i, cycle in enumerate(cycles, start=1):
         assert_valid_cycle(cycle, g, qs.quorums[i - 1])
         assert cycle.hub == i
+
+
+# sha256 over every routed cycle sequence, r = 1..3, for the first
+# `mappings` of generate_mappings(n, mappings, seed=11).  A change to any
+# tie-break or finishing rule in routing shows up here.
+ROUTING_DIGESTS = {
+    ("nsfnet", 2): "044c511f50c021d2cc197d5c34289029055a864b33ecf3c70b9f456536cb3668",
+    ("arpanet", 2): "ef867951f5cd2e3c2bf436c2d0025b38daf385cdc79ed484f475911e5072f283",
+    ("american", 1): "6eddff63c3334d376bde085b8dcd4d77715a6a0b0592bd46596c1f5aee15b10e",
+}
+
+
+@pytest.mark.parametrize("network,mappings", sorted(ROUTING_DIGESTS))
+def test_route_all_digest_pinned(network, mappings):
+    g = bundled_topology(network)
+    h = hashlib.sha256()
+    for r in (1, 2, 3):
+        qs = generate_quorums(bundled_base(g.n, r))
+        for m in generate_mappings(g.n, mappings, seed=11):
+            for cycle in route_all(g, qs, m):
+                h.update(repr(cycle.sequence).encode() + b"\n")
+    assert h.hexdigest() == ROUTING_DIGESTS[network, mappings]
+
+
+def test_route_cycle_reaches_module_level_stages(monkeypatch):
+    # perfbench's tracer counts these stages by wrapping the module
+    # globals, so route_cycle must look them up there on every call
+    reached = {}
+    for name in ("ratio_bfs", "close_cycle", "insert_missing"):
+        original = getattr(routing, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            reached[_name] = reached.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(routing, name, counting)
+    g = bundled_topology("nsfnet")
+    qs = generate_quorums(bundled_base(14, 3))
+    route_cycle(g, qs.quorums[0], hub=1)
+    assert set(reached) == {"ratio_bfs", "close_cycle", "insert_missing"}
