@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .lighttrail import DeploymentPlan, FaultModel, served_pairs_cycle
+from .lighttrail import (DeploymentPlan, FaultModel, served_pairs_cycle,
+                         truncation_tables)
 from .topology import Topology, canonical_edge
 
 Edge = tuple[int, int]
@@ -52,28 +53,33 @@ def evaluate(plan: DeploymentPlan, scenarios: Iterable[FaultScenario],
              fault_model: FaultModel = FaultModel.TRUNCATED) -> list[int]:
     """Served ordered-pair count of the plan under each scenario, in order.
 
-    A scenario only disturbs the cycles it touches, so fault-free cycle
-    bitsets are computed once and each cycle's faulted variants are
-    memoized by the set of its links that failed, across all scenarios.
+    A scenario only disturbs the cycles it crosses.  Fault-free cycle
+    bitsets, the truncation tables of each cycle and the positions at
+    which each link sits on each cycle are built once per plan, so a
+    crossed cycle costs two table lookups (nothing under whole-cycle).
     """
-    clean = [served_pairs_cycle(c, plan.mode, plan.n, (), fault_model).bits
-             for c in plan.cycles]
-    edge_sets = [c.edges for c in plan.cycles]  # a computed property
-    memos: list[dict[frozenset[Edge], int]] = [{} for _ in plan.cycles]
+    clean = [served_pairs_cycle(c, plan.mode, plan.n).bits for c in plan.cycles]
+    truncated = fault_model is FaultModel.TRUNCATED
+    tables = [truncation_tables(c, plan.mode, plan.n) if truncated else None
+              for c in plan.cycles]
+    crossings: dict[Edge, list[tuple[int, int]]] = {}
+    for i, cycle in enumerate(plan.cycles):
+        for pos, edge in enumerate(cycle.edge_list):
+            crossings.setdefault(edge, []).append((i, pos))
     counts = []
     for scenario in scenarios:
-        failed = frozenset(scenario.failed_edges)
+        spans: dict[int, tuple[int, int]] = {}
+        for edge in scenario.failed_edges:
+            for i, pos in crossings.get(edge, ()):
+                first, last = spans.get(i, (pos, pos))
+                spans[i] = (min(first, pos), max(last, pos))
         bits = 0
-        for i, cycle in enumerate(plan.cycles):
-            hit = failed & edge_sets[i]
-            if not hit:
-                bits |= clean[i]
-                continue
-            cached = memos[i].get(hit)
-            if cached is None:
-                cached = served_pairs_cycle(cycle, plan.mode, plan.n, hit,
-                                            fault_model).bits
-                memos[i][hit] = cached
-            bits |= cached
+        for i, clean_bits in enumerate(clean):
+            span = spans.get(i)
+            if span is None:
+                bits |= clean_bits
+            elif truncated:
+                heads, tails = tables[i]
+                bits |= heads[span[0]] | tails[span[1]]
         counts.append(bits.bit_count())
     return counts

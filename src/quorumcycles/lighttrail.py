@@ -100,6 +100,44 @@ def _orientation_bits(seq: tuple[int, ...], n: int,
     return _segment_bits(seq[: first + 1], n) | _segment_bits(seq[last + 1:], n)
 
 
+def _run_bits(nodes: tuple[int, ...], n: int, to_new: bool,
+              from_new: bool) -> list[int]:
+    """Bits of a run after each of its nodes joins, one shift per pair kind.
+
+    A joining node x pairs with every node y seen before it: (y, x) if
+    to_new, (x, y) if from_new.
+    """
+    out, bits, rows, cols = [], 0, 0, 0
+    for x in nodes:
+        row, col = 1 << (x - 1) * n, 1 << (x - 1)
+        if to_new:
+            bits |= (rows & ~row) << (x - 1)
+        if from_new:
+            bits |= (cols & ~col) << (x - 1) * n
+        rows |= row
+        cols |= col
+        out.append(bits)
+    return out
+
+
+def truncation_tables(cycle: CycleRoute, mode: TrailMode,
+                      n: int) -> tuple[list[int], list[int]]:
+    """The truncated model's served bits, split at every edge position.
+
+    A cycle whose failed links sit at edge positions first..last serves
+    heads[first] | tails[last]: the run from the hub to the first break
+    and the run from the last break back to it, of both trails in paired
+    mode.  Breaks in between do not matter.
+    """
+    seq = cycle.sequence
+    paired = mode is TrailMode.PAIRED
+    # the counter-directional trail runs each segment back to front, so
+    # it adds the reversed pairs of the same two segments
+    heads = _run_bits(seq[:-1], n, True, paired)
+    tails = _run_bits(seq[:0:-1], n, paired, True)[::-1]
+    return heads, tails
+
+
 def _cycle_bits(cycle: CycleRoute, mode: TrailMode, n: int,
                 failed: frozenset[Edge], fault_model: FaultModel) -> int:
     positions = [i for i, edge in enumerate(cycle.edge_list) if edge in failed]

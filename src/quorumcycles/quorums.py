@@ -393,6 +393,8 @@ def save_base(result: SearchResult | QuorumBase, path: str):
 
 def _parse_base(text: str, path) -> QuorumBase:
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError(f"base file {path} must hold a JSON object")
     for key in ("n", "r", "members"):
         if key not in payload:
             raise ValueError(f"base file {path} missing field {key!r}")

@@ -100,8 +100,10 @@ class ExperimentSpec:
             raise ValueError("at least one trail mode is required")
         if any(type(o) is not int or o not in (1, 2) for o in self.fault_orders):
             raise ValueError(f"fault orders must be ints 1 or 2: {self.fault_orders}")
-        if self.mapping_count < 1:
-            raise ValueError(f"mapping count must be >= 1: {self.mapping_count}")
+        if type(self.mapping_count) is not int or self.mapping_count < 1:
+            raise ValueError(f"mapping count must be an int >= 1: {self.mapping_count!r}")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an int: {self.seed!r}")
         # a repeated value would route, evaluate and emit the same cells twice
         for field in ("r_values", "modes", "fault_orders"):
             values = getattr(self, field)
@@ -157,8 +159,8 @@ def _spec_from_dict(d: dict, base_dir: Path) -> ExperimentSpec:
             r_values=r_values,
             modes=tuple(TrailMode(m) for m in d.get("modes", ["paired"])),
             fault_orders=tuple(d.get("fault_orders", [1])),
-            mapping_count=int(d["mappings"]),
-            seed=int(d["seed"]),
+            mapping_count=d["mappings"],
+            seed=d["seed"],
             fault_model=FaultModel(d.get("fault_model", "truncated")),
             base_files=tuple(sorted(
                 (int(r), resolve(p)) for r, p in d.get("bases", {}).items())),
@@ -239,7 +241,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             if spec.fault_orders:
                 cov: dict[int, list[float]] = {o: [] for o in spec.fault_orders}
                 for plan in plans:
-                    # one call over every order shares the per-cycle memo
+                    # one call over every order builds the plan's tables once
                     counts = iter(evaluate(plan, all_scenarios,
                                            spec.fault_model))
                     for order, scenarios in scenario_sets.items():

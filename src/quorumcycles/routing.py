@@ -99,28 +99,34 @@ class CycleRoute:
 
 
 def _layered_paths(g: Topology, source: int, cset: frozenset[int],
-                   banned: frozenset[Edge] = frozenset()) -> dict[int, tuple[int, tuple[int, ...]]]:
+                   banned: frozenset[Edge] = frozenset(),
+                   goal: int | None = None) -> dict[int, tuple[int, tuple[int, ...]]]:
     """BFS keeping, per node, the best shortest path from source.
 
     Best means most cset nodes on the path, then lexicographically
-    smallest node sequence.  Returns {node: (cset_count, path)}.
+    smallest node sequence.  Returns {node: (cset_count, path)}.  Given a
+    goal, the search stops after the layer that settles it: later layers
+    never change an entry already made.
     """
     adj = g.adjacency
     best: dict[int, tuple[int, tuple[int, ...]]] = {
         source: (1 if source in cset else 0, (source,))
     }
     frontier = [source]
-    while frontier:
+    while frontier and goal not in best:
         layer: dict[int, tuple[int, tuple[int, ...]]] = {}
         for u in frontier:
             cnt, path = best[u]
             for w in adj[u]:
                 if w in best or canonical_edge(u, w) in banned:
                     continue
-                cand = (cnt + (1 if w in cset else 0), path + (w,))
+                c = cnt + (w in cset)
                 held = layer.get(w)
-                if held is None or (-cand[0], cand[1]) < (-held[0], held[1]):
-                    layer[w] = cand
+                # paths into one layer are equally long, so the parents
+                # order the extended paths
+                if (held is None or c > held[0]
+                        or (c == held[0] and path < held[1])):
+                    layer[w] = (c, path + (w,))
         best.update(layer)
         frontier = sorted(layer)
     return best
@@ -161,8 +167,7 @@ def ratio_bfs(g: Topology, source: int, c: frozenset[int] | set[int]) -> tuple[i
 
 def _shortest_avoiding(g: Topology, start: int, goal: int, banned: frozenset[Edge],
                        cset: frozenset[int] = frozenset()) -> tuple[int, ...] | None:
-    best = _layered_paths(g, start, cset, banned)
-    entry = best.get(goal)
+    entry = _layered_paths(g, start, cset, banned, goal).get(goal)
     return entry[1] if entry else None
 
 
@@ -220,9 +225,16 @@ def insert_missing(g: Topology, route: CycleRoute, v: int,
     cset = frozenset(c)
     cycle_edges = list(_walk_edges(seq))
     all_edges = frozenset(cycle_edges)
+    # banned edges never shorten a walk, so len(seq) - 2 + hops[v][a] +
+    # hops[v][b] bounds the cycle a detour at (a, b) can give; positions
+    # rise and ties keep the earlier one, so a bound that reaches the best
+    # length so far rules the position out
+    to_v = g.hops[v]
     best: tuple[int, int, tuple[int, ...]] | None = None
     for pos in range(len(cycle_edges)):
         a, b = seq[pos], seq[pos + 1]
+        if best is not None and len(seq) - 2 + to_v[a] + to_v[b] >= best[0]:
+            continue
         det = _detour(g, a, v, b, all_edges - {cycle_edges[pos]}, cset)
         if det is None:
             continue
@@ -258,21 +270,11 @@ def _insert_all(g: Topology, route: CycleRoute, cset: frozenset[int]) -> CycleRo
         missing = sorted(cset - on_cycle)
         if not missing:
             return route
-        # nearest-to-cycle first, ties by node id; multi-source BFS
-        dist = {u: 0 for u in on_cycle}
-        frontier = sorted(on_cycle)
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in g.adjacency[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            frontier = sorted(nxt)
-        reachable = [(dist[v], v) for v in missing if v in dist]
-        if not reachable:
+        # nearest-to-cycle first, ties by node id
+        dist, v = min((min(g.hops[v][u] for u in on_cycle), v) for v in missing)
+        if dist == g.n:  # no missing member is reachable
             raise InsertionInfeasibleError(missing[0], route.sequence)
-        route = insert_missing(g, route, min(reachable)[1], cset)
+        route = insert_missing(g, route, v, cset)
 
 
 def _collect(g: Topology, seed: tuple[int, ...],

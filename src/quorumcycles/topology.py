@@ -57,6 +57,25 @@ class Topology:
             neighbors[v].append(u)
         return tuple(tuple(sorted(ns)) for ns in neighbors)
 
+    @cached_property
+    def hops(self) -> tuple[tuple[int, ...], ...]:
+        """All-pairs hop distances, hops[u][v]; n marks an unreachable pair."""
+        table = [()]
+        for source in self.nodes:
+            dist = [self.n] * (self.n + 1)
+            dist[source] = 0
+            frontier = [source]
+            while frontier:
+                nxt = []
+                for u in frontier:
+                    for w in self.adjacency[u]:
+                        if dist[w] == self.n:
+                            dist[w] = dist[u] + 1
+                            nxt.append(w)
+                frontier = nxt
+            table.append(tuple(dist))
+        return tuple(table)
+
     @property
     def nodes(self) -> range:
         return range(1, self.n + 1)

@@ -13,9 +13,13 @@ from quorumcycles import (
     FaultScenario,
     Topology,
     TrailMode,
+    bundled_base,
     bundled_topology,
     enumerate_faults,
     evaluate,
+    generate_mappings,
+    generate_quorums,
+    route_all,
     served_pairs_plan,
 )
 
@@ -164,7 +168,7 @@ def test_memoized_evaluator_matches_oracle(case):
     n, cycles, edges, rng = case
     plan = DeploymentPlan(n=n, mode=TrailMode.PAIRED, cycles=tuple(cycles))
     seqs = [c.sequence for c in cycles]
-    # one call, so repeated and overlapping faults are served from the memo
+    # one call, so repeated and overlapping faults reuse the plan's tables
     scenarios = [FaultScenario(failed_edges=tuple(rng.sample(edges, 2)))
                  for _ in range(6)]
     scenarios += scenarios[:3]
@@ -173,15 +177,36 @@ def test_memoized_evaluator_matches_oracle(case):
                    for s in scenarios]
 
 
-@settings(max_examples=60, deadline=None)
-@given(ring_plan_case())
-def test_evaluate_matches_uncached_plan_union(case):
-    n, cycles, edges, _ = case
-    g = Topology(n=n, edges=tuple(edges))
-    scenarios = enumerate_faults(g, 1) + enumerate_faults(g, 2)
+def assert_evaluate_matches_plan_union(n, cycles, scenarios):
     for mode in TrailMode:
         plan = DeploymentPlan(n=n, mode=mode, cycles=tuple(cycles))
         for model in FaultModel:
             got = evaluate(plan, scenarios, model)
             assert got == [served_pairs_plan(plan, s.failed_edges, model).count
                            for s in scenarios]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_plan_case())
+def test_evaluate_matches_uncached_plan_union(case):
+    n, cycles, edges, rng = case
+    g = Topology(n=n, edges=tuple(edges))
+    scenarios = enumerate_faults(g, 1) + enumerate_faults(g, 2)
+    if len(edges) >= 3:
+        # three breaks on one ring leave a middle one that must not matter
+        triples = enumerate_faults(g, 3)
+        scenarios += tuple(rng.sample(triples, min(40, len(triples))))
+    assert_evaluate_matches_plan_union(n, cycles, scenarios)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_evaluate_matches_plan_union_on_routed_walks(r):
+    # routed cycles revisit nodes, which simple rings never do
+    g = bundled_topology("nsfnet")
+    qs = generate_quorums(bundled_base(g.n, r))
+    scenarios = (enumerate_faults(g, 1) + enumerate_faults(g, 2)
+                 + enumerate_faults(g, 3))
+    plans = [route_all(g, qs, m) for m in generate_mappings(g.n, 2, seed=5)]
+    assert any(len(set(c.sequence)) < c.length for p in plans for c in p)
+    for cycles in plans:
+        assert_evaluate_matches_plan_union(g.n, cycles, scenarios)

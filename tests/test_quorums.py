@@ -197,6 +197,15 @@ def test_load_rejects_inconsistent_k_hat(tmp_path):
         load_base(str(path))
 
 
+@pytest.mark.parametrize("payload", ['"nrmembers"', '["n", "r", "members"]'])
+def test_load_rejects_non_object(tmp_path, payload):
+    # both payloads contain every field name, so only the type check stops them
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
+    with pytest.raises(ValueError, match="must hold a JSON object"):
+        load_base(str(path))
+
+
 @pytest.mark.parametrize("r", [1.5, 2.0, "2", True])
 def test_non_int_redundancy_rejected(r):
     with pytest.raises(ValueError, match="r must be a positive int"):

@@ -81,7 +81,10 @@ def test_spec_validation():
                          ("fault_orders", (1, 1)),
                          ("r_values", (1.5,)), ("r_values", ("2",)),
                          ("r_values", (True,)), ("fault_orders", (True,)),
-                         ("fault_orders", (2.0,))]:
+                         ("fault_orders", (2.0,)),
+                         ("mapping_count", 2.7), ("mapping_count", "5"),
+                         ("mapping_count", True), ("seed", 1.9),
+                         ("seed", "0"), ("seed", False)]:
         with pytest.raises(ValueError):
             ExperimentSpec(**{**good, field: value})
 
@@ -119,6 +122,15 @@ def test_load_spec_scalar_r_and_defaults(tmp_path):
     p.write_text(json.dumps({"topology": "nsfnet", "r": 1.5,
                              "mappings": 4, "seed": 0}))
     with pytest.raises(ValueError, match="r values must be positive ints"):
+        load_experiment_spec(p)
+    # mappings and seed are not truncated either
+    p.write_text(json.dumps({"topology": "nsfnet", "r": 1,
+                             "mappings": 2.7, "seed": 0}))
+    with pytest.raises(ValueError, match="mapping count must be an int"):
+        load_experiment_spec(p)
+    p.write_text(json.dumps({"topology": "nsfnet", "r": 1,
+                             "mappings": 4, "seed": 1.9}))
+    with pytest.raises(ValueError, match="seed must be an int"):
         load_experiment_spec(p)
 
 
@@ -201,6 +213,15 @@ def test_run_experiment_rejects_weak_base(tmp_path):
     save_base(QuorumBase(n=3, r=1, members=(1,)), str(base_path))
     spec = tri_spec(tmp_path, base_files=((1, str(base_path)),))
     with pytest.raises(ExperimentError, match="redundant"):
+        run_experiment(spec)
+
+
+@pytest.mark.parametrize("payload", ['"nrmembers"', "[3, 1, 2]"])
+def test_run_experiment_rejects_non_object_base(tmp_path, payload):
+    base_path = tmp_path / "b.json"
+    base_path.write_text(payload)
+    spec = tri_spec(tmp_path, base_files=((1, str(base_path)),))
+    with pytest.raises(ExperimentError, match="must hold a JSON object"):
         run_experiment(spec)
 
 

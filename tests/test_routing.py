@@ -259,26 +259,28 @@ def test_route_all_nsfnet_r1():
         assert cycle.hub == i
 
 
-# sha256 over every routed cycle sequence, r = 1..3, for the first
-# `mappings` of generate_mappings(n, mappings, seed=11).  A change to any
-# tie-break or finishing rule in routing shows up here.
+# sha256 over every routed cycle sequence for the listed r values and the
+# first `mappings` of generate_mappings(n, mappings, seed=11).  A change to
+# any tie-break, finishing rule or search bound in routing shows up here.
 ROUTING_DIGESTS = {
-    ("nsfnet", 2): "044c511f50c021d2cc197d5c34289029055a864b33ecf3c70b9f456536cb3668",
-    ("arpanet", 2): "ef867951f5cd2e3c2bf436c2d0025b38daf385cdc79ed484f475911e5072f283",
-    ("american", 1): "6eddff63c3334d376bde085b8dcd4d77715a6a0b0592bd46596c1f5aee15b10e",
+    ("nsfnet", 2): ((1, 2, 3), "044c511f50c021d2cc197d5c34289029055a864b33ecf3c70b9f456536cb3668"),
+    ("arpanet", 2): ((1, 2, 3), "ef867951f5cd2e3c2bf436c2d0025b38daf385cdc79ed484f475911e5072f283"),
+    ("american", 1): ((1, 2, 3), "6eddff63c3334d376bde085b8dcd4d77715a6a0b0592bd46596c1f5aee15b10e"),
+    ("chinese", 1): ((1,), "6313022d4358fc75f5fb7afa2f44b6c1ba631d80e820f9b3a63a9e5c8fc0e6b9"),
 }
 
 
 @pytest.mark.parametrize("network,mappings", sorted(ROUTING_DIGESTS))
 def test_route_all_digest_pinned(network, mappings):
+    r_values, digest = ROUTING_DIGESTS[network, mappings]
     g = bundled_topology(network)
     h = hashlib.sha256()
-    for r in (1, 2, 3):
+    for r in r_values:
         qs = generate_quorums(bundled_base(g.n, r))
         for m in generate_mappings(g.n, mappings, seed=11):
             for cycle in route_all(g, qs, m):
                 h.update(repr(cycle.sequence).encode() + b"\n")
-    assert h.hexdigest() == ROUTING_DIGESTS[network, mappings]
+    assert h.hexdigest() == digest
 
 
 def test_route_cycle_reaches_module_level_stages(monkeypatch):

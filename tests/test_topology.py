@@ -108,6 +108,15 @@ def test_adjacency_and_degree(square):
     assert square.has_edge(4, 1) and not square.has_edge(1, 3)
 
 
+def test_hops(square):
+    assert square.hops[1][1:] == (0, 1, 2, 1)
+    assert all(square.hops[u][v] == square.hops[v][u]
+               for u in square.nodes for v in square.nodes)
+    # built directly, a topology may be disconnected: n marks no path
+    split = Topology(n=4, edges=((1, 2), (3, 4)))
+    assert split.hops[1][1:] == (0, 1, 4, 4)
+
+
 def test_find_bridges_cycle_free(triangle):
     assert find_bridges(triangle) == frozenset()
 
