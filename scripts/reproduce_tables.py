@@ -8,7 +8,9 @@ two-fault only on the 14-node network.  The whole desk run finishes in
 about seven minutes there.
 --full switches to 1000 mappings and two-fault on every network; budget
 a day for the 54-node backbone.  Output lands in experiments/ as csv
-plus plotdata json.
+plus plotdata json.  --networks restricts the grid: such a run prints
+its table but writes nothing, so it never replaces the whole grid's
+artifacts with a subset of their rows.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from quorumcycles.report import ExperimentSpec, emit, run_experiment
 NETWORKS = ("nsfnet", "arpanet", "american", "chinese")
 DESK_MAPPINGS = {"nsfnet": 100, "arpanet": 100, "american": 50, "chinese": 10}
 SEED = 20250815
+OUT_DIR = Path(__file__).resolve().parents[1] / "experiments"
 
 
 def specs(full: bool) -> list[ExperimentSpec]:
@@ -41,16 +44,16 @@ def specs(full: bool) -> list[ExperimentSpec]:
     return out
 
 
-def main():
+def main(argv: list[str] | None = None):
     parser = argparse.ArgumentParser()
     parser.add_argument("--full", action="store_true",
                         help="1000 mappings, two-fault on all networks")
-    parser.add_argument("--networks", nargs="*", default=list(NETWORKS),
-                        choices=NETWORKS)
-    args = parser.parse_args()
+    parser.add_argument("--networks", nargs="+", default=list(NETWORKS),
+                        choices=NETWORKS,
+                        help="run only these; nothing is written to "
+                             "experiments/ unless all of them run")
+    args = parser.parse_args(argv)
 
-    out_dir = Path(__file__).resolve().parents[1] / "experiments"
-    out_dir.mkdir(exist_ok=True)
     rows = []
     for spec in specs(args.full):
         if spec.network not in args.networks:
@@ -61,9 +64,14 @@ def main():
               file=sys.stderr)
 
     print(emit(rows, "table"))
+    if set(args.networks) != set(NETWORKS):
+        print("ran a subset of the networks; nothing written to experiments/",
+              file=sys.stderr)
+        return
     scale = "full" if args.full else "desk"
-    (out_dir / f"tables_{scale}.csv").write_text(emit(rows, "csv"))
-    (out_dir / f"figures_{scale}.json").write_text(emit(rows, "plotdata"))
+    OUT_DIR.mkdir(exist_ok=True)
+    (OUT_DIR / f"tables_{scale}.csv").write_text(emit(rows, "csv"))
+    (OUT_DIR / f"figures_{scale}.json").write_text(emit(rows, "plotdata"))
     print(f"wrote experiments/tables_{scale}.csv and figures_{scale}.json",
           file=sys.stderr)
 

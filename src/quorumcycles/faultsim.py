@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .lighttrail import (DeploymentPlan, FaultModel, served_pairs_cycle,
-                         truncation_tables)
+from .lighttrail import DeploymentPlan, FaultModel, served_bits
 from .topology import Topology, canonical_edge
 
 Edge = tuple[int, int]
@@ -53,33 +52,9 @@ def evaluate(plan: DeploymentPlan, scenarios: Iterable[FaultScenario],
              fault_model: FaultModel = FaultModel.TRUNCATED) -> list[int]:
     """Served ordered-pair count of the plan under each scenario, in order.
 
-    A scenario only disturbs the cycles it crosses.  Fault-free cycle
-    bitsets, the truncation tables of each cycle and the positions at
-    which each link sits on each cycle are built once per plan, so a
-    crossed cycle costs two table lookups (nothing under whole-cycle).
+    The counts come from lighttrail.served_bits, which builds the plan's
+    tables once, so a scenario costs two lookups per cycle it crosses.
     """
-    clean = [served_pairs_cycle(c, plan.mode, plan.n).bits for c in plan.cycles]
-    truncated = fault_model is FaultModel.TRUNCATED
-    tables = [truncation_tables(c, plan.mode, plan.n) if truncated else None
-              for c in plan.cycles]
-    crossings: dict[Edge, list[tuple[int, int]]] = {}
-    for i, cycle in enumerate(plan.cycles):
-        for pos, edge in enumerate(cycle.edge_list):
-            crossings.setdefault(edge, []).append((i, pos))
-    counts = []
-    for scenario in scenarios:
-        spans: dict[int, tuple[int, int]] = {}
-        for edge in scenario.failed_edges:
-            for i, pos in crossings.get(edge, ()):
-                first, last = spans.get(i, (pos, pos))
-                spans[i] = (min(first, pos), max(last, pos))
-        bits = 0
-        for i, clean_bits in enumerate(clean):
-            span = spans.get(i)
-            if span is None:
-                bits |= clean_bits
-            elif truncated:
-                heads, tails = tables[i]
-                bits |= heads[span[0]] | tails[span[1]]
-        counts.append(bits.bit_count())
-    return counts
+    failed_sets = (s.failed_edges for s in scenarios)
+    return [bits.bit_count()
+            for bits in served_bits(plan, failed_sets, fault_model)]

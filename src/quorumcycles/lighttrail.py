@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Iterator
 
 from .routing import CycleRoute
 from .topology import canonical_edge
@@ -80,26 +81,6 @@ class ServedPairs:
         return frozenset(out)
 
 
-def _segment_bits(segment: tuple[int, ...], n: int) -> int:
-    bits = 0
-    for i, a in enumerate(segment):
-        row = (a - 1) * n - 1
-        for b in segment[i + 1:]:
-            if b != a:
-                bits |= 1 << (row + b)
-    return bits
-
-
-def _orientation_bits(seq: tuple[int, ...], n: int,
-                      failed_positions: list[int]) -> int:
-    """Served bits of one oriented trail given failed edge positions."""
-    if not failed_positions:
-        return _segment_bits(seq, n)
-    first, last = min(failed_positions), max(failed_positions)
-    # hub-side fragments stay usable; anything between two breaks is dark
-    return _segment_bits(seq[: first + 1], n) | _segment_bits(seq[last + 1:], n)
-
-
 def _run_bits(nodes: tuple[int, ...], n: int, to_new: bool,
               from_new: bool) -> list[int]:
     """Bits of a run after each of its nodes joins, one shift per pair kind.
@@ -120,54 +101,62 @@ def _run_bits(nodes: tuple[int, ...], n: int, to_new: bool,
     return out
 
 
-def truncation_tables(cycle: CycleRoute, mode: TrailMode,
-                      n: int) -> tuple[list[int], list[int]]:
-    """The truncated model's served bits, split at every edge position.
+def served_bits(plan: DeploymentPlan, failed_sets: Iterable[Iterable[Edge]],
+                fault_model: FaultModel = FaultModel.TRUNCATED) -> Iterator[int]:
+    """Served-pair bitset of the plan under each set of canonical failed links.
 
-    A cycle whose failed links sit at edge positions first..last serves
-    heads[first] | tails[last]: the run from the hub to the first break
-    and the run from the last break back to it, of both trails in paired
-    mode.  Breaks in between do not matter.
+    Per cycle, heads[k] holds the run from the hub up to edge position k
+    and tails[k] the run after it, of both trails in paired mode (the
+    counter-directional trail runs each segment back to front, so it adds
+    the reversed pairs of the same segments).  A cycle whose failed links
+    sit at positions first..last serves heads[first] | tails[last] under
+    the truncated model, since breaks in between do not matter, and
+    nothing under whole-cycle.  The tables and the (cycle, position)
+    crossings of each link are built once per plan.
     """
-    seq = cycle.sequence
-    paired = mode is TrailMode.PAIRED
-    # the counter-directional trail runs each segment back to front, so
-    # it adds the reversed pairs of the same two segments
-    heads = _run_bits(seq[:-1], n, True, paired)
-    tails = _run_bits(seq[:0:-1], n, paired, True)[::-1]
-    return heads, tails
-
-
-def _cycle_bits(cycle: CycleRoute, mode: TrailMode, n: int,
-                failed: frozenset[Edge], fault_model: FaultModel) -> int:
-    positions = [i for i, edge in enumerate(cycle.edge_list) if edge in failed]
-    if fault_model is FaultModel.WHOLE_CYCLE and positions:
-        return 0
-    bits = _orientation_bits(cycle.sequence, n, positions)
-    if mode is TrailMode.PAIRED:
-        # the counter-directional trail crosses the same links back to front
-        last = cycle.length - 1
-        bits |= _orientation_bits(cycle.sequence[::-1], n,
-                                  [last - i for i in reversed(positions)])
-    return bits
-
-
-def served_pairs_cycle(cycle: CycleRoute, mode: TrailMode, n: int,
-                       failed_edges=(),
-                       fault_model: FaultModel = FaultModel.TRUNCATED) -> ServedPairs:
-    """Ordered pairs served by one cycle's trails under the given faults."""
-    failed = frozenset(canonical_edge(u, v) for u, v in failed_edges)
-    return ServedPairs(n=n, bits=_cycle_bits(cycle, mode, n, failed, fault_model))
+    n, paired = plan.n, plan.mode is TrailMode.PAIRED
+    truncated = fault_model is FaultModel.TRUNCATED
+    tables = []
+    crossings: dict[Edge, list[tuple[int, int]]] = {}
+    for i, cycle in enumerate(plan.cycles):
+        seq = cycle.sequence
+        heads = _run_bits(seq, n, True, paired)
+        tails = _run_bits(seq[:0:-1], n, paired, True)[::-1]
+        # the run over the whole walk, closing hub included, orders every
+        # pair exactly as the intact trail (and its reverse) does
+        tables.append((heads[-1], heads, tails))
+        for pos, edge in enumerate(cycle.edge_list):
+            crossings.setdefault(edge, []).append((i, pos))
+    for failed in failed_sets:
+        spans: dict[int, tuple[int, int]] = {}
+        for edge in failed:
+            for i, pos in crossings.get(edge, ()):
+                first, last = spans.get(i, (pos, pos))
+                spans[i] = (min(first, pos), max(last, pos))
+        bits = 0
+        for i, (clean, heads, tails) in enumerate(tables):
+            span = spans.get(i)
+            if span is None:
+                bits |= clean
+            elif truncated:
+                bits |= heads[span[0]] | tails[span[1]]
+        yield bits
 
 
 def served_pairs_plan(plan: DeploymentPlan, failed_edges=(),
                       fault_model: FaultModel = FaultModel.TRUNCATED) -> ServedPairs:
     """Union of served pairs over all cycles in the plan."""
     failed = frozenset(canonical_edge(u, v) for u, v in failed_edges)
-    bits = 0
-    for cycle in plan.cycles:
-        bits |= _cycle_bits(cycle, plan.mode, plan.n, failed, fault_model)
-    return ServedPairs(n=plan.n, bits=bits)
+    return ServedPairs(n=plan.n,
+                       bits=next(served_bits(plan, [failed], fault_model)))
+
+
+def served_pairs_cycle(cycle: CycleRoute, mode: TrailMode, n: int,
+                       failed_edges=(),
+                       fault_model: FaultModel = FaultModel.TRUNCATED) -> ServedPairs:
+    """Ordered pairs served by one cycle's trails under the given faults."""
+    plan = DeploymentPlan(n=n, mode=mode, cycles=(cycle,))
+    return served_pairs_plan(plan, failed_edges, fault_model)
 
 
 def links_used(plan: DeploymentPlan) -> int:
@@ -188,14 +177,11 @@ class MissingPairs:
 
 def missing_pairs(plan: DeploymentPlan) -> MissingPairs:
     """Ordered pairs no trail serves even with every link healthy."""
-    served = served_pairs_plan(plan)
-    total = served.total
-    have = served.pairs()
-    gaps = tuple(sorted(
-        (a, b)
-        for a in range(1, plan.n + 1)
-        for b in range(1, plan.n + 1)
-        if a != b and (a, b) not in have
-    ))
-    percent = 100.0 * len(gaps) / total if total else 0.0
-    return MissingPairs(count=len(gaps), percent=percent, total=total, pairs=gaps)
+    n = plan.n
+    diagonal = sum(1 << a * (n + 1) for a in range(n))
+    all_pairs = ((1 << n * n) - 1) ^ diagonal
+    gaps = ServedPairs(n=n, bits=all_pairs & ~served_pairs_plan(plan).bits)
+    total = gaps.total
+    percent = 100.0 * gaps.count / total if total else 0.0
+    return MissingPairs(count=gaps.count, percent=percent, total=total,
+                        pairs=tuple(sorted(gaps.pairs())))

@@ -52,13 +52,16 @@ class QuorumBase:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        members = tuple(sorted(set(self.members)))
-        object.__setattr__(self, "members", members)
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
         # type() rather than isinstance(): True would otherwise pass as 1
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"n must be a positive int, got {self.n!r}")
         if type(self.r) is not int or self.r < 1:
             raise ValueError(f"r must be a positive int, got {self.r!r}")
+        for m in self.members:
+            if type(m) is not int:
+                raise ValueError(f"members must be ints, got {m!r}")
+        members = tuple(sorted(set(self.members)))
+        object.__setattr__(self, "members", members)
         if not members or members[0] != 1:
             raise ValueError("base must contain node 1")
         if members[-1] > self.n:
@@ -398,6 +401,8 @@ def _parse_base(text: str, path) -> QuorumBase:
     for key in ("n", "r", "members"):
         if key not in payload:
             raise ValueError(f"base file {path} missing field {key!r}")
+    if not isinstance(payload["members"], list):
+        raise ValueError(f"base file {path} members must be a list")
     base = QuorumBase(n=payload["n"], r=payload["r"],
                       members=tuple(payload["members"]))
     if "k_hat" in payload and payload["k_hat"] != base.k_hat:

@@ -20,7 +20,6 @@ from quorumcycles import (
     generate_mappings,
     generate_quorums,
     route_all,
-    served_pairs_plan,
 )
 
 from oracles import plan_served_pairs
@@ -178,12 +177,17 @@ def test_memoized_evaluator_matches_oracle(case):
 
 
 def assert_evaluate_matches_plan_union(n, cycles, scenarios):
+    # the oracle, not served_pairs_plan: that shares evaluate's kernel
+    seqs = [c.sequence for c in cycles]
     for mode in TrailMode:
         plan = DeploymentPlan(n=n, mode=mode, cycles=tuple(cycles))
         for model in FaultModel:
             got = evaluate(plan, scenarios, model)
-            assert got == [served_pairs_plan(plan, s.failed_edges, model).count
-                           for s in scenarios]
+            assert got == [
+                len(plan_served_pairs(
+                    seqs, mode is TrailMode.PAIRED, s.failed_edges,
+                    whole_cycle=model is FaultModel.WHOLE_CYCLE))
+                for s in scenarios]
 
 
 @settings(max_examples=60, deadline=None)

@@ -151,6 +151,8 @@ def test_plan_leaves_absent_node_unserved():
 def test_plan_rejects_out_of_range_node():
     with pytest.raises(ValueError, match="out of range"):
         plan(TrailMode.SINGLE, SQUARE, n=3)
+    with pytest.raises(ValueError, match="out of range"):
+        served_pairs_cycle(TRIANGLE, TrailMode.PAIRED, 2)
 
 
 # ------------------------------------------------------------- link usage
@@ -224,6 +226,17 @@ def test_matches_fragment_oracle(case):
                                  paired=mode is TrailMode.PAIRED,
                                  failed_edges=failed)
         assert got.pairs() == want
+        clean = plan_served_pairs([c.sequence for c in cycles],
+                                  paired=mode is TrailMode.PAIRED,
+                                  failed_edges=())
+        gaps = sorted((a, b) for a in range(1, n + 1)
+                      for b in range(1, n + 1)
+                      if a != b and (a, b) not in clean)
+        mp = missing_pairs(p)
+        assert mp.pairs == tuple(gaps)
+        assert mp.count == len(gaps)
+        assert mp.total == n * (n - 1)
+        assert mp.percent == pytest.approx(100 * len(gaps) / (n * (n - 1)))
 
 
 @settings(max_examples=150, deadline=None)

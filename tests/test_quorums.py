@@ -215,6 +215,18 @@ def test_non_int_redundancy_rejected(r):
             search_min_base(n, r)
 
 
+@pytest.mark.parametrize("n", [14.0, "14", True])
+def test_non_int_size_rejected(n):
+    with pytest.raises(ValueError, match="n must be a positive int"):
+        QuorumBase(n=n, r=1, members=(1,))
+
+
+@pytest.mark.parametrize("member", [2.5, 2.0, "2", True])
+def test_non_int_member_rejected(member):
+    with pytest.raises(ValueError, match="members must be ints"):
+        QuorumBase(n=14, r=1, members=(1, member, 4))
+
+
 def test_bundled_bases_verify():
     sizes = {14: 5, 20: 6, 24: 6, 54: 9}  # r=1 quorum sizes shipped
     for n, k1 in sizes.items():

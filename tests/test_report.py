@@ -225,6 +225,19 @@ def test_run_experiment_rejects_non_object_base(tmp_path, payload):
         run_experiment(spec)
 
 
+@pytest.mark.parametrize("members, message", [
+    ('[1, "2", 3]', "members must be ints"),
+    ("5", "members must be a list"),
+])
+def test_run_experiment_rejects_malformed_base_members(tmp_path, members,
+                                                       message):
+    base_path = tmp_path / "b.json"
+    base_path.write_text(f'{{"n": 3, "r": 1, "members": {members}}}')
+    spec = tri_spec(tmp_path, base_files=((1, str(base_path)),))
+    with pytest.raises(ExperimentError, match=message):
+        run_experiment(spec)
+
+
 def test_run_experiment_base_programming_error_propagates(tmp_path,
                                                         monkeypatch):
     def broken(n, r):
