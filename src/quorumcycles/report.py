@@ -137,37 +137,57 @@ def load_experiment_spec(path: str | Path) -> list[ExperimentSpec]:
     raw = json.loads(path.read_text())
     if isinstance(raw, dict) and "experiments" in raw:
         entries = raw["experiments"]
+        if not isinstance(entries, list):
+            raise ValueError(f"experiments must be a list, got {entries!r}")
     else:
         entries = [raw]
     return [_spec_from_dict(e, path.resolve().parent) for e in entries]
 
 
-def _spec_from_dict(d: dict, base_dir: Path) -> ExperimentSpec:
+_JSON_KINDS = {str: "a string", list: "a list", dict: "an object"}
+_REQUIRED = object()
+
+
+def _spec_from_dict(d: object, base_dir: Path) -> ExperimentSpec:
+    if not isinstance(d, dict):
+        raise ValueError(f"experiment spec must be an object, got {d!r}")
+
+    def field(name: str, kind: type = object, default=_REQUIRED):
+        if name not in d:
+            if default is _REQUIRED:
+                raise ValueError(f"experiment spec missing required field '{name}'")
+            return default
+        value = d[name]
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {value!r}")
+        return value
+
     def resolve(ref: str) -> str:
         if ref in BUNDLED:
             return ref
         p = Path(ref)
         return str(p if p.is_absolute() else base_dir / p)
 
-    try:
-        topology = resolve(d["topology"])
-        r_raw = d["r"]
-        r_values = tuple(r_raw) if isinstance(r_raw, list) else (r_raw,)
-        spec = ExperimentSpec(
-            network=d.get("network", d["topology"]),
-            topology=topology,
-            r_values=r_values,
-            modes=tuple(TrailMode(m) for m in d.get("modes", ["paired"])),
-            fault_orders=tuple(d.get("fault_orders", [1])),
-            mapping_count=d["mappings"],
-            seed=d["seed"],
-            fault_model=FaultModel(d.get("fault_model", "truncated")),
-            base_files=tuple(sorted(
-                (int(r), resolve(p)) for r, p in d.get("bases", {}).items())),
-        )
-    except KeyError as exc:
-        raise ValueError(f"experiment spec missing required field {exc}") from exc
-    return spec
+    topology = field("topology", str)
+    bases = field("bases", dict, {})
+    for r, ref in bases.items():
+        # decimal digits only: int() would also take " 1", "+1" and "01"
+        if not (r.isascii() and r.isdigit()) or r.startswith("0"):
+            raise ValueError(f"bases keys must be positive ints, got {r!r}")
+        if not isinstance(ref, str):
+            raise ValueError(f"bases entry {r} must be a file path, got {ref!r}")
+    r_raw = field("r")
+    return ExperimentSpec(
+        network=field("network", str, topology),
+        topology=resolve(topology),
+        r_values=tuple(r_raw) if isinstance(r_raw, list) else (r_raw,),
+        modes=tuple(TrailMode(m) for m in field("modes", list, ["paired"])),
+        fault_orders=tuple(field("fault_orders", list, [1])),
+        mapping_count=field("mappings"),
+        seed=field("seed"),
+        fault_model=FaultModel(d.get("fault_model", "truncated")),
+        base_files=tuple(sorted((int(r), resolve(p)) for r, p in bases.items())),
+    )
 
 
 def _resolve_base(n: int, r: int, base_files: dict[int, str]) -> QuorumBase:

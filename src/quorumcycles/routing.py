@@ -215,27 +215,41 @@ def insert_missing(g: Topology, route: CycleRoute, v: int,
                    c: frozenset[int] | set[int] = frozenset()) -> CycleRoute:
     """Splice node v into the cycle by the cheapest single-edge detour.
 
-    Every cycle edge (a, b) is considered for replacement by a walk
-    a -> v -> b; the replacement minimizing the resulting cycle length
-    wins (ties: earliest edge position, then lexicographic detour).
+    A cycle edge (a, b) is replaced by a walk a -> v -> b; the replacement
+    minimizing the resulting cycle length wins (ties: earliest edge
+    position, then lexicographic detour).  Positions are tried cheapest
+    lower bound first, and the search stops once no remaining position
+    can win, so the result equals a scan of every edge.
     """
     seq = route.sequence
     if v in seq:
         raise ValueError(f"node {v} is already on the cycle")
     cset = frozenset(c)
-    cycle_edges = list(_walk_edges(seq))
-    all_edges = frozenset(cycle_edges)
-    # banned edges never shorten a walk, so len(seq) - 2 + hops[v][a] +
-    # hops[v][b] bounds the cycle a detour at (a, b) can give; positions
-    # rise and ties keep the earlier one, so a bound that reaches the best
-    # length so far rules the position out
-    to_v = g.hops[v]
+    all_edges = frozenset(_walk_edges(seq))
+    # hop distances from v off the cycle; far exceeds any real leg length
+    far = g.n + 1
+    dv = {u: len(path) - 1 for u, (_, path)
+          in _layered_paths(g, v, frozenset(), all_edges).items()}
+    # with only (a, b) unbanned, a shortest a -> v leg either avoids (a, b)
+    # or crosses it first, so it is exactly la = min(dv[a], 1 + dv[b]) long
+    # (unreachable: _detour finds nothing), and the v -> b leg is at least
+    # lb = min(dv[b], 1 + dv[a]).  A detour at pos thus gives a cycle of at
+    # least len(seq) - 2 + la + lb links; once (bound, pos) passes the best
+    # (length, pos) so far, neither it nor any later entry can win or tie
+    # at an earlier position.
+    order = []
+    for pos, (a, b) in enumerate(zip(seq, seq[1:])):
+        da, db = dv.get(a, far), dv.get(b, far)
+        la = min(da, 1 + db)
+        if la < far:
+            order.append((len(seq) - 2 + la + min(db, 1 + da), pos))
+    order.sort()
     best: tuple[int, int, tuple[int, ...]] | None = None
-    for pos in range(len(cycle_edges)):
+    for bound, pos in order:
+        if best is not None and (bound, pos) > best[:2]:
+            break
         a, b = seq[pos], seq[pos + 1]
-        if best is not None and len(seq) - 2 + to_v[a] + to_v[b] >= best[0]:
-            continue
-        det = _detour(g, a, v, b, all_edges - {cycle_edges[pos]}, cset)
+        det = _detour(g, a, v, b, all_edges - {canonical_edge(a, b)}, cset)
         if det is None:
             continue
         new_len = len(seq) - 2 + len(det) - 1

@@ -135,6 +135,77 @@ def all_c_paths(adj, source, cset, max_len=None):
     return [(p, sum(1 for v in p if v in cset)) for p in results]
 
 
+def _walk_links(seq):
+    return [frozenset(e) for e in zip(seq, seq[1:])]
+
+
+def best_shortest_path(adj, start, goal, banned, cset):
+    """Shortest start -> goal path avoiding banned links, or None.
+
+    Among all shortest paths: most cset nodes, then lexicographically
+    smallest.  Enumerates every shortest path, so keep graphs small.
+    """
+    live = {u: [w for w in adj[u] if frozenset((u, w)) not in banned]
+            for u in adj}
+    to_goal = bfs_distances(live, goal)
+    if start not in to_goal:
+        return None
+    best = None
+
+    def extend(path):
+        nonlocal best
+        u = path[-1]
+        if u == goal:
+            key = (-sum(1 for x in path if x in cset), path)
+            if best is None or key < best:
+                best = key
+            return
+        for w in live[u]:
+            if to_goal.get(w) == to_goal[u] - 1:
+                extend(path + (w,))
+
+    extend((start,))
+    return best[1]
+
+
+def detour_walk(adj, a, v, b, banned, cset):
+    """Link-distinct walk a -> v -> b avoiding banned links, or None.
+
+    Each leg is a best shortest path; either leg may be laid first, and
+    the shorter (then lexicographically smaller) combined walk wins.
+    """
+    candidates = []
+    one = best_shortest_path(adj, a, v, banned, cset)
+    if one is not None:
+        two = best_shortest_path(adj, v, b, banned | set(_walk_links(one)), cset)
+        if two is not None:
+            candidates.append(one + two[1:])
+    two = best_shortest_path(adj, v, b, banned, cset)
+    if two is not None:
+        one = best_shortest_path(adj, a, v, banned | set(_walk_links(two)), cset)
+        if one is not None:
+            candidates.append(one + two[1:])
+    return min(candidates, key=lambda w: (len(w), w)) if candidates else None
+
+
+def best_insertion(adj, seq, v, cset):
+    """Minimum (new_len, pos, detour) over every link position of a cycle.
+
+    The detour replaces link pos of the closed walk seq; new_len is the
+    grown cycle's link count.  None when no position admits a detour.
+    """
+    links = _walk_links(seq)
+    best = None
+    for pos in range(len(links)):
+        banned = set(links) - {links[pos]}
+        det = detour_walk(adj, seq[pos], v, seq[pos + 1], banned, cset)
+        if det is not None:
+            cand = (len(seq) - 2 + len(det) - 1, pos, det)
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
 def trail_served_pairs(seq, failed_edges):
     """Ordered pairs a trail serves: a strictly before b on a live fragment.
 

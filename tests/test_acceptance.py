@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,7 @@ from quorumcycles import (
     TrailMode,
     bundled_base,
     bundled_topology,
+    emit,
     enumerate_faults,
     generate_quorums,
     is_r_redundant,
@@ -49,6 +51,7 @@ from oracles import (
 
 SEED = 20250815
 NETWORKS = ("nsfnet", "arpanet", "american", "chinese")
+DESK_TABLE = Path(__file__).resolve().parents[1] / "experiments" / "tables_desk.csv"
 
 
 def note(num: int, text: str):
@@ -243,6 +246,16 @@ def test_criterion_7_fault_coverage_bands(nsfnet_rows):
     note(7, f"single-fault paired coverage {one[1]:.2f} <= {one[2]:.2f} "
             f"<= {one[3]:.2f} (all >= 99); two-fault floor "
             f"{min(two.values()):.2f} >= 97")
+
+
+def test_desk_table_holds_current_nsfnet_rows(nsfnet_rows):
+    # the fixture runs the desk script's nsfnet spec, so the committed
+    # artifact cannot go stale without this failing
+    cells, _ = nsfnet_rows
+    emitted = emit(list(cells.values()), "csv").split("\n", 1)[1]
+    committed = "".join(line for line in DESK_TABLE.read_text().splitlines(True)
+                        if line.startswith("nsfnet,"))
+    assert emitted == committed
 
 
 def test_criterion_8_structural_fault_properties():

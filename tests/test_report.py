@@ -152,6 +152,39 @@ def test_load_spec_missing_field(tmp_path):
         load_experiment_spec(p)
 
 
+@pytest.mark.parametrize("override,message", [
+    ({"bases": ["x"]}, "bases must be an object, got ['x']"),
+    ({"bases": {"true": "b.json"}}, "bases keys must be positive ints, got 'true'"),
+    ({"bases": {" 1": "b.json"}}, "bases keys must be positive ints, got ' 1'"),
+    ({"bases": {"01": "b.json"}}, "bases keys must be positive ints, got '01'"),
+    ({"bases": {"1": 5}}, "bases entry 1 must be a file path, got 5"),
+    ({"modes": "paired"}, "modes must be a list, got 'paired'"),
+    ({"fault_orders": 1}, "fault_orders must be a list, got 1"),
+    ({"topology": 5}, "topology must be a string, got 5"),
+    ({"network": 5}, "network must be a string, got 5"),
+])
+def test_load_spec_names_malformed_field(tmp_path, override, message):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"topology": "nsfnet", "r": 1, "mappings": 4,
+                             "seed": 0, **override}))
+    with pytest.raises(ValueError) as info:
+        load_experiment_spec(p)
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("payload,message", [
+    ([{"topology": "nsfnet"}], "experiment spec must be an object"),
+    ({"experiments": [1]}, "experiment spec must be an object, got 1"),
+    ({"experiments": {"topology": "nsfnet"}}, "experiments must be a list"),
+])
+def test_load_spec_rejects_non_object_entries(tmp_path, payload, message):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as info:
+        load_experiment_spec(p)
+    assert str(info.value).startswith(message)
+
+
 # ---------------------------------------------------------- run_experiment
 
 def tri_spec(tmp_path, **overrides):

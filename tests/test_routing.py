@@ -16,7 +16,8 @@ from quorumcycles.topology import (NodeMapping, Topology, bundled_topology,
                                    generate_mappings)
 
 from conftest import adjacency_dict
-from oracles import all_c_paths, minimal_cycle_length, random_connected_graph
+from oracles import (all_c_paths, best_insertion, minimal_cycle_length,
+                     random_connected_graph)
 
 
 def graph(n, edges):
@@ -160,6 +161,36 @@ def test_insert_is_strictly_longer_and_valid(seed):
     assert_valid_cycle(grown, g, cycle.nodes | {v})
 
 
+def test_insert_matches_scan_of_every_position():
+    # insert_missing visits positions best-first and stops early; it must
+    # pick what trying every link position picks, infeasible cases included
+    rng = random.Random(20251018)
+    outcomes = {"inserted": 0, "infeasible": 0}
+    for _ in range(150):
+        n = rng.randrange(5, 17)
+        g = graph(n, random_connected_graph(rng, n, rng.randrange(0, n)))
+        size = rng.randrange(2, min(n, 6) + 1)
+        cset = frozenset(rng.sample(range(1, n + 1), size))
+        try:
+            cycle = close_cycle(g, ratio_bfs(g, min(cset), cset), cset)
+        except NoReturnPathError:
+            continue
+        adj = adjacency_dict(g)
+        seq = cycle.sequence
+        for v in sorted(set(g.nodes) - cycle.nodes):
+            expected = best_insertion(adj, seq, v, cset)
+            if expected is None:
+                with pytest.raises(InsertionInfeasibleError):
+                    insert_missing(g, cycle, v, cset)
+                outcomes["infeasible"] += 1
+                continue
+            _, pos, det = expected
+            got = insert_missing(g, cycle, v, cset).sequence
+            assert got == seq[:pos + 1] + det[1:] + seq[pos + 2:], (g.edges, seq, v)
+            outcomes["inserted"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
 def test_route_cycle_triangle(triangle):
     cycle = route_cycle(triangle, {1, 2, 3})
     assert cycle.length == 3
@@ -281,6 +312,24 @@ def test_route_all_digest_pinned(network, mappings):
             for cycle in route_all(g, qs, m):
                 h.update(repr(cycle.sequence).encode() + b"\n")
     assert h.hexdigest() == digest
+
+
+def test_insertion_detour_calls_capped(monkeypatch):
+    # guards the work insert_missing's bound saves by a count, which
+    # repeats exactly, where a time limit would swing with the machine
+    calls = 0
+    original = routing._detour
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(routing, "_detour", counting)
+    g = bundled_topology("chinese")
+    route_all(g, generate_quorums(bundled_base(g.n, 1)), NodeMapping.identity(g.n))
+    # 5,165 calls with the off-cycle distance bound, 14,155 with plain hops
+    assert calls <= 6000, calls
 
 
 def test_route_cycle_reaches_module_level_stages(monkeypatch):
