@@ -16,6 +16,7 @@ lexicographic search with pruning, subject to an optional node budget.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
@@ -108,9 +109,15 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """DFS node cap per size level of the search; None means unbounded."""
+    """DFS node cap per size level, at least 1; None means unbounded."""
 
     max_nodes: int | None = None
+
+    def __post_init__(self):
+        m = self.max_nodes
+        if m is not None and (type(m) is not int or m < 1):
+            raise ValueError(
+                f"budget max_nodes must be None or an int >= 1, got {m!r}")
 
 
 # node cap per size level used by the CLI and by reports that must search
@@ -259,73 +266,75 @@ def _search_level(n: int, r: int, k_hat: int, counter: list[int],
 
     Returns the lexicographically smallest valid base, or None when the
     level is exhausted.  Raises _LevelBudgetUp when the node budget dies
-    mid-level.
+    mid-level.  counter[0] gains one per candidate x tried, counted
+    before the budget check.
+
+    Bit-parallel: the members are a forward mask `fwd` (bit s) and a
+    reversed mask `rev` (bit n - s).  Every member lies below a candidate
+    x, so x's differences x - s fall in class x - s when that is at most
+    half (bits of rev >> (n - x)) and in class n - (x - s) otherwise
+    (bits of fwd << (n - x)).  A class hit from both sides gains two.
+    need[j] is the set of classes still short by more than j units, so a
+    candidate clears popcount(need[0] & hit) + popcount(need[1] & both)
+    units.  On even n the half-way class gains 2 per pair, so it needs
+    ceil(r/2) pairs.
     """
     half = n // 2
-    even = n % 2 == 0
-    counts = [0] * (half + 1)
-    members = [1]
+    # each future pair clears at most 2 units on even n (half-way class)
+    scale = 2 if n % 2 == 0 else 1
+    low = (1 << (half + 1)) - 2         # classes 1..half
+    high = (1 << (n - half)) - 2        # classes 1..n-half-1
+    need = [low] * r + [0, 0]           # two empty layers under the last
+    if scale == 2:
+        for j in range((r + 1) // 2, r):
+            need[j] &= ~(1 << half)
+    deficit = sum(m.bit_count() for m in need)
+    limit = sys.maxsize if max_nodes is None else max_nodes
+    nodes = counter[0]
+    layers = range(r)
 
-    def units_needed(d: int) -> int:
-        lack = r - counts[d]
-        if lack <= 0:
-            return 0
-        return (lack + 1) // 2 if (even and d == half) else lack
+    def members(fwd: int) -> tuple[int, ...]:
+        return tuple(s for s in range(1, n + 1) if fwd >> s & 1)
 
-    deficit = sum(units_needed(d) for d in range(1, half + 1))
-
-    def add(x: int) -> int:
-        nonlocal deficit
-        delta = 0
-        for s in members:
-            d = (x - s) % n
-            d = min(d, n - d)
-            before = units_needed(d)
-            counts[d] += 2 if (even and d == half) else 1
-            delta += units_needed(d) - before
-        members.append(x)
-        deficit += delta
-        return delta
-
-    def undo(x: int, delta: int):
-        nonlocal deficit
-        members.pop()
-        for s in members:
-            d = (x - s) % n
-            d = min(d, n - d)
-            counts[d] -= 2 if (even and d == half) else 1
-        deficit -= delta
-
-    found: tuple[int, ...] | None = None
-
-    def extend(last: int, slots: int):
-        nonlocal found
-        if found is not None:
-            return
-        if slots == 0:
-            if deficit == 0:
-                found = tuple(members)
-            return
-        placed = len(members)
-        future_pairs = placed * slots + slots * (slots - 1) // 2
-        if even:
-            # each future pair can clear at most 2 units (half-way class)
-            if deficit > 2 * future_pairs:
-                return
-        elif deficit > future_pairs:
-            return
+    def extend(fwd, rev, need, deficit, last, slots):
+        nonlocal nodes
+        # a child has k_hat - rest members and rest slots; prune it here,
+        # before the call, when its deficit exceeds its future pairs
+        rest = slots - 1
+        bound = scale * ((k_hat - rest) * rest + rest * (rest - 1) // 2)
+        need0, need1 = need[0], need[1]
         for x in range(last + 1, n - slots + 2):
-            counter[0] += 1
-            if max_nodes is not None and counter[0] > max_nodes:
-                raise _LevelBudgetUp(tuple(members) + (x,))
-            delta = add(x)
-            extend(x, slots - 1)
-            undo(x, delta)
-            if found is not None:
-                return
+            nodes += 1
+            if nodes > limit:
+                raise _LevelBudgetUp(members(fwd) + (x,))
+            shift = n - x
+            lo = (rev >> shift) & low
+            hi = (fwd << shift) & high
+            hit = lo | hi
+            both = lo & hi
+            left = (deficit - (need0 & hit).bit_count()
+                    - (need1 & both).bit_count())
+            if left > bound:
+                continue
+            if not rest:
+                return members(fwd) + (x,)
+            keep, once = ~hit, hit ^ both
+            found = extend(
+                fwd | 1 << x, rev | 1 << shift,
+                [need[j] & keep | need[j + 1] & once | need[j + 2] & both
+                 for j in layers] + [0, 0],
+                left, x, rest)
+            if found:
+                return found
+        return None
 
-    extend(1, k_hat - 1)
-    return found
+    rest = k_hat - 1
+    if deficit > scale * (rest + rest * (rest - 1) // 2):
+        return None
+    try:
+        return extend(1 << 1, 1 << (n - 1), need, deficit, 1, rest)
+    finally:
+        counter[0] = nodes
 
 
 def search_min_base(n: int, r: int, budget: SearchBudget | None = None) -> SearchResult:
@@ -338,8 +347,8 @@ def search_min_base(n: int, r: int, budget: SearchBudget | None = None) -> Searc
     proven_minimal=False.  If every level is skipped without a find,
     SearchBudgetExhausted carries the deepest frontier.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be a positive int, got {n!r}")
     if type(r) is not int or r < 1:
         raise ValueError(f"r must be a positive int, got {r!r}")
     if n == 1:

@@ -146,11 +146,17 @@ def load_experiment_spec(path: str | Path) -> list[ExperimentSpec]:
 
 _JSON_KINDS = {str: "a string", list: "a list", dict: "an object"}
 _REQUIRED = object()
+_SPEC_FIELDS = frozenset({"network", "topology", "r", "modes", "fault_orders",
+                          "mappings", "seed", "fault_model", "bases"})
 
 
 def _spec_from_dict(d: object, base_dir: Path) -> ExperimentSpec:
     if not isinstance(d, dict):
         raise ValueError(f"experiment spec must be an object, got {d!r}")
+    unknown = sorted(d.keys() - _SPEC_FIELDS)
+    if unknown:
+        raise ValueError(
+            f"unknown experiment spec field(s): {', '.join(unknown)}")
 
     def field(name: str, kind: type = object, default=_REQUIRED):
         if name not in d:

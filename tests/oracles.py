@@ -57,6 +57,113 @@ def min_base_exhaustive(n, r):
     return None
 
 
+class _ReferenceBudgetUp(Exception):
+    def __init__(self, frontier):
+        self.frontier = frontier
+
+
+def _reference_level(n, r, k_hat, counter, max_nodes):
+    """One size level of the closure DFS the bitmask kernel replaced.
+
+    Per-class counts and a running unit deficit, updated member by member
+    on the way down and undone on the way back.
+    """
+    half = n // 2
+    even = n % 2 == 0
+    counts = [0] * (half + 1)
+    members = [1]
+
+    def units_needed(d):
+        lack = r - counts[d]
+        if lack <= 0:
+            return 0
+        return (lack + 1) // 2 if (even and d == half) else lack
+
+    deficit = sum(units_needed(d) for d in range(1, half + 1))
+
+    def add(x):
+        nonlocal deficit
+        delta = 0
+        for s in members:
+            d = (x - s) % n
+            d = min(d, n - d)
+            before = units_needed(d)
+            counts[d] += 2 if (even and d == half) else 1
+            delta += units_needed(d) - before
+        members.append(x)
+        deficit += delta
+        return delta
+
+    def undo(x, delta):
+        nonlocal deficit
+        members.pop()
+        for s in members:
+            d = (x - s) % n
+            d = min(d, n - d)
+            counts[d] -= 2 if (even and d == half) else 1
+        deficit -= delta
+
+    found = None
+
+    def extend(last, slots):
+        nonlocal found
+        if found is not None:
+            return
+        if slots == 0:
+            if deficit == 0:
+                found = tuple(members)
+            return
+        placed = len(members)
+        future_pairs = placed * slots + slots * (slots - 1) // 2
+        if even:
+            # each future pair can clear at most 2 units (half-way class)
+            if deficit > 2 * future_pairs:
+                return
+        elif deficit > future_pairs:
+            return
+        for x in range(last + 1, n - slots + 2):
+            counter[0] += 1
+            if max_nodes is not None and counter[0] > max_nodes:
+                raise _ReferenceBudgetUp(tuple(members) + (x,))
+            delta = add(x)
+            extend(x, slots - 1)
+            undo(x, delta)
+            if found is not None:
+                return
+
+    extend(1, k_hat - 1)
+    return found
+
+
+def reference_search(n, r, max_nodes=None):
+    """The size-level loop of `search_min_base` over `_reference_level`.
+
+    Returns a dict with the found base's `members`, `nodes_explored`,
+    `exhausted_k` and `skipped_k`, or, when every level is skipped
+    without a find, the exhaustion's `frontier` and `nodes_explored`.
+    Takes 2 <= n and 1 <= r <= n, as the library guards the rest.
+    """
+    from quorumcycles.quorums import search_floor
+
+    counter = [0]
+    exhausted, skipped = [], []
+    frontier = ()
+    for k_hat in range(search_floor(n, r), n + 1):
+        level_limit = None if max_nodes is None else counter[0] + max_nodes
+        try:
+            members = _reference_level(n, r, k_hat, counter, level_limit)
+        except _ReferenceBudgetUp as up:
+            skipped.append(k_hat)
+            frontier = up.frontier
+            continue
+        if members is not None:
+            return {"members": members, "nodes_explored": counter[0],
+                    "exhausted_k": tuple(exhausted),
+                    "skipped_k": tuple(skipped)}
+        exhausted.append(k_hat)
+    return {"frontier": frontier, "nodes_explored": counter[0]}
+
+
 def bfs_distances(adj, source):
     dist = {source: 0}
     queue = deque([source])

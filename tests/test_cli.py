@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -53,6 +54,47 @@ def test_quorum_search_infeasible(capsys):
     code, _, err = run(capsys, "quorum", "search", "--n", "4", "--r", "5")
     assert code == 1
     assert err.startswith("error: ")
+
+
+# sha256 of stdout and stderr, taken before the search moved to bitmasks
+SEARCH_PINS = {
+    ("14", "2", None): (
+        "011fc8aa8f5a8e7dcfe4e40e6909fd6215a48a8394839b4144bc7dc2e033a37b", ""),
+    ("20", "3", None): (
+        "c710ddddca444efc872b81ba769e9d473d6e5251f7c41c464a41849460e3459c", ""),
+    ("24", "1", None): (
+        "98d27bcf1d6e14c4a71583f03da08ef39d19bb15d0734293905f15bee8dbc77a", ""),
+    # skips k=9,10: "minimal: not proven (budget skipped k=9,10)"
+    ("24", "3", "100"): (
+        "80fb67e772532f7e196bad4af515a2dd321d3c8551c9307fbe4868dedc27179b", ""),
+    # every level skipped: SearchBudgetExhausted on stderr, exit 1
+    ("16", "2", "2"): (
+        "", "ac6f0b6e8e8cd4f47a478879d992a06b592b766e8abb0fc291b8d4912dbfeeb3"),
+}
+
+
+@pytest.mark.parametrize("n,r,budget", list(SEARCH_PINS))
+def test_quorum_search_stdout_pinned(capsys, n, r, budget):
+    argv = ["quorum", "search", "--n", n, "--r", r]
+    if budget is not None:
+        argv += ["--budget", budget]
+    code, out, err = run(capsys, *argv)
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest() if text else ""
+
+    assert code == (1 if err else 0)
+    assert (digest(out), digest(err)) == SEARCH_PINS[(n, r, budget)]
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_quorum_search_rejects_bad_budget(capsys, budget):
+    code, out, err = run(capsys, "quorum", "search", "--n", "14", "--r", "1",
+                         "--budget", budget)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: budget max_nodes must be None or an int >= 1, "
+                   f"got {budget}\n")
 
 
 def test_quorum_verify_ok(capsys, tri_files):

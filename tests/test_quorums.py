@@ -13,7 +13,8 @@ from quorumcycles.quorums import (InfeasibleRedundancyError, QuorumBase,
                                   verify_quorum_set)
 
 from oracles import (distance_counts_by_enumeration, min_base_exhaustive,
-                     redundant_by_enumeration, rotated_quorums)
+                     redundant_by_enumeration, reference_search,
+                     rotated_quorums)
 
 
 def base(n, members, r=1):
@@ -166,6 +167,44 @@ def test_search_flags_skipped_levels():
     assert is_r_redundant(result.base)
 
 
+@pytest.mark.parametrize("max_nodes", [None, 5, 50, 777])
+def test_search_matches_reference_dfs(max_nodes):
+    # same DFS tree as the closure DFS: base, node count, levels, frontier;
+    # 5 nodes a level skips every level for 60 of the 86 cases, so their
+    # frontiers are compared too
+    budget = SearchBudget(max_nodes=max_nodes)
+    for n in range(2, 31):
+        for r in range(1, min(3, n) + 1):
+            if max_nodes is None and (n, r) == (30, 3):
+                continue  # 14.3M nodes: about three minutes in the referee
+            expect = reference_search(n, r, max_nodes)
+            try:
+                result = search_min_base(n, r, budget)
+            except SearchBudgetExhausted as err:
+                got = {"frontier": err.frontier,
+                       "nodes_explored": err.nodes_explored}
+            else:
+                got = {"members": result.base.members,
+                       "nodes_explored": result.nodes_explored,
+                       "exhausted_k": result.exhausted_k,
+                       "skipped_k": result.skipped_k}
+            assert got == expect, (n, r, max_nodes)
+
+
+def test_search_node_count_pinned():
+    # the benchmark's (29, 2) case; a drift in the counter fails here first
+    result = search_min_base(29, 2)
+    assert result.nodes_explored == 263_669
+    assert result.exhausted_k == (8,)
+    assert result.base.members == (1, 2, 3, 4, 5, 6, 10, 16, 23)
+
+
+@pytest.mark.parametrize("max_nodes", [0, -3, 2.5, True])
+def test_search_budget_rejects_bad_cap(max_nodes):
+    with pytest.raises(ValueError, match=f"got {max_nodes!r}$"):
+        SearchBudget(max_nodes=max_nodes)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(4, 13), st.integers(1, 3))
 def test_search_output_verifies_by_enumeration(n, r):
@@ -219,6 +258,8 @@ def test_non_int_redundancy_rejected(r):
 def test_non_int_size_rejected(n):
     with pytest.raises(ValueError, match="n must be a positive int"):
         QuorumBase(n=n, r=1, members=(1,))
+    with pytest.raises(ValueError, match="n must be a positive int"):
+        search_min_base(n, 1)
 
 
 @pytest.mark.parametrize("member", [2.5, 2.0, "2", True])

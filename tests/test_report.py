@@ -1,6 +1,7 @@
 """Statistics, experiment orchestration, and output rendering."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,6 +108,22 @@ def test_load_spec_bare_and_wrapped(tmp_path):
     assert spec.seed == 3
     assert spec.fault_model is FaultModel.TRUNCATED
     assert len(load_experiment_spec(wrapped)) == 2
+
+
+def test_load_spec_rejects_unknown_keys(tmp_path):
+    # misspelt fields must not fall back to their defaults silently
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"topology": "nsfnet", "r": 1, "mappings": 4,
+                             "seed": 0, "fault_order": [2],
+                             "mode": ["single"]}))
+    with pytest.raises(ValueError) as info:
+        load_experiment_spec(p)
+    assert str(info.value) == \
+        "unknown experiment spec field(s): fault_order, mode"
+    demo = Path(__file__).resolve().parents[1] / "experiments" / "nsfnet_demo.json"
+    (spec,) = load_experiment_spec(demo)
+    assert spec.network == "nsfnet"
+    assert spec.fault_model is FaultModel.TRUNCATED
 
 
 def test_load_spec_scalar_r_and_defaults(tmp_path):
