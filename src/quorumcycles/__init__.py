@@ -13,16 +13,16 @@ from .topology import (BUNDLED, NodeMapping, Topology, TopologyError,
 from .quorums import (InfeasibleRedundancyError, PairCoverage, QuorumBase,
                       QuorumSet, SearchBudget, SearchBudgetExhausted,
                       SearchResult, VerificationReport, bundled_base,
-                      difference_counts, estimate_khat, generate_quorums,
-                      is_r_redundant, load_base, lower_bound_k, pair_coverage,
-                      save_base, search_min_base, verify_quorum_set)
+                      difference_counts, generate_quorums, is_r_redundant,
+                      load_base, pair_coverage, save_base, search_min_base,
+                      verify_quorum_set)
 from .routing import (CycleRoute, InsertionInfeasibleError, NoReturnPathError,
                       RoutingError, RoutingInfeasibleError, close_cycle,
                       insert_missing, ratio_bfs, route_all, route_cycle)
 from .lighttrail import (DeploymentPlan, FaultModel, MissingPairs, ServedPairs,
                          TrailMode, links_used, missing_pairs,
                          served_pairs_cycle, served_pairs_plan)
-from .faultsim import FaultScenario, enumerate_faults, evaluate
+from .faultsim import enumerate_faults, evaluate
 from .report import (CISummary, ExperimentError, ExperimentSpec,
                      InsufficientSamplesError, ResultRow, emit,
                      load_experiment_spec, mean_ci, parse_rows_csv,
@@ -32,20 +32,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUNDLED", "CISummary", "CycleRoute", "DeploymentPlan", "ExperimentError",
-    "ExperimentSpec", "FaultModel", "FaultScenario",
-    "InfeasibleRedundancyError", "InsertionInfeasibleError",
-    "InsufficientSamplesError", "MissingPairs", "NoReturnPathError",
-    "NodeMapping", "PairCoverage", "QuorumBase", "QuorumSet", "ResultRow",
-    "RoutingError", "RoutingInfeasibleError", "SearchBudget",
-    "SearchBudgetExhausted", "SearchResult", "ServedPairs", "Topology",
-    "TopologyError", "TrailMode", "VerificationReport", "bundled_base",
-    "bundled_topology", "close_cycle", "difference_counts", "emit",
-    "enumerate_faults", "estimate_khat", "evaluate", "find_bridges",
+    "ExperimentSpec", "FaultModel", "InfeasibleRedundancyError",
+    "InsertionInfeasibleError", "InsufficientSamplesError", "MissingPairs",
+    "NoReturnPathError", "NodeMapping", "PairCoverage", "QuorumBase",
+    "QuorumSet", "ResultRow", "RoutingError", "RoutingInfeasibleError",
+    "SearchBudget", "SearchBudgetExhausted", "SearchResult", "ServedPairs",
+    "Topology", "TopologyError", "TrailMode", "VerificationReport",
+    "bundled_base", "bundled_topology", "close_cycle", "difference_counts",
+    "emit", "enumerate_faults", "evaluate", "find_bridges",
     "generate_mappings", "generate_quorums", "insert_missing",
     "is_r_redundant", "links_used", "load_base", "load_experiment_spec",
-    "load_topology", "lower_bound_k", "mean_ci", "missing_pairs",
-    "pair_coverage", "parse_rows_csv", "parse_topology", "ratio_bfs",
-    "relabel", "route_all", "route_cycle", "run_experiment", "save_base",
-    "search_min_base", "serialize_topology", "served_pairs_cycle",
-    "served_pairs_plan", "topology_to_json", "verify_quorum_set",
+    "load_topology", "mean_ci", "missing_pairs", "pair_coverage",
+    "parse_rows_csv", "parse_topology", "ratio_bfs", "relabel", "route_all",
+    "route_cycle", "run_experiment", "save_base", "search_min_base",
+    "serialize_topology", "served_pairs_cycle", "served_pairs_plan",
+    "topology_to_json", "verify_quorum_set",
 ]

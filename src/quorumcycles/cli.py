@@ -123,7 +123,7 @@ def _cmd_simulate(args) -> int:
                     for scenario, served in zip(scenarios, counts):
                         dump.write(json.dumps({
                             "mapping": idx,
-                            "edges": [list(e) for e in scenario.failed_edges],
+                            "edges": [list(e) for e in scenario],
                             "served": served, "total": total,
                         }) + "\n")
         if tmp:

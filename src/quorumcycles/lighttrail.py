@@ -21,7 +21,6 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .routing import CycleRoute
-from .topology import canonical_edge
 
 Edge = tuple[int, int]
 
@@ -103,7 +102,7 @@ def _run_bits(nodes: tuple[int, ...], n: int, to_new: bool,
 
 def served_bits(plan: DeploymentPlan, failed_sets: Iterable[Iterable[Edge]],
                 fault_model: FaultModel = FaultModel.TRUNCATED) -> Iterator[int]:
-    """Served-pair bitset of the plan under each set of canonical failed links.
+    """Served-pair bitset of the plan under each set of failed links.
 
     Per cycle, heads[k] holds the run from the hub up to edge position k
     and tails[k] the run after it, of both trails in paired mode (the
@@ -112,7 +111,9 @@ def served_bits(plan: DeploymentPlan, failed_sets: Iterable[Iterable[Edge]],
     sit at positions first..last serves heads[first] | tails[last] under
     the truncated model, since breaks in between do not matter, and
     nothing under whole-cycle.  The tables and the (cycle, position)
-    crossings of each link are built once per plan.
+    crossings of each link are built once per plan; crossings are filed
+    under both orientations, so a failed link matches however it is
+    written, and a repeated one only repeats the same min/max.
     """
     n, paired = plan.n, plan.mode is TrailMode.PAIRED
     truncated = fault_model is FaultModel.TRUNCATED
@@ -127,6 +128,7 @@ def served_bits(plan: DeploymentPlan, failed_sets: Iterable[Iterable[Edge]],
         tables.append((heads[-1], heads, tails))
         for pos, edge in enumerate(cycle.edge_list):
             crossings.setdefault(edge, []).append((i, pos))
+            crossings.setdefault(edge[::-1], []).append((i, pos))
     for failed in failed_sets:
         spans: dict[int, tuple[int, int]] = {}
         for edge in failed:
@@ -146,9 +148,8 @@ def served_bits(plan: DeploymentPlan, failed_sets: Iterable[Iterable[Edge]],
 def served_pairs_plan(plan: DeploymentPlan, failed_edges=(),
                       fault_model: FaultModel = FaultModel.TRUNCATED) -> ServedPairs:
     """Union of served pairs over all cycles in the plan."""
-    failed = frozenset(canonical_edge(u, v) for u, v in failed_edges)
     return ServedPairs(n=plan.n,
-                       bits=next(served_bits(plan, [failed], fault_model)))
+                       bits=next(served_bits(plan, [failed_edges], fault_model)))
 
 
 def served_pairs_cycle(cycle: CycleRoute, mode: TrailMode, n: int,

@@ -19,7 +19,6 @@ import json
 import sys
 from dataclasses import dataclass
 from itertools import combinations
-from math import isqrt
 
 
 class InfeasibleRedundancyError(ValueError):
@@ -133,26 +132,6 @@ class SearchResult:
     skipped_k: tuple[int, ...] = ()
 
 
-def lower_bound_k(n: int) -> int:
-    """Smallest k with n <= k*(k-1) + 1 (pairs must cover all distances)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    k = 1
-    while k * (k - 1) + 1 < n:
-        k += 1
-    return k
-
-
-def estimate_khat(k: int, r: int) -> int:
-    """Predicted r-redundant base size from the r=1 size: ceil(sqrt(r)*k)."""
-    if k < 1 or r < 1:
-        raise ValueError("k and r must be positive")
-    est = isqrt(r * k * k)
-    if est * est < r * k * k:
-        est += 1
-    return est
-
-
 def difference_counts(base: QuorumBase) -> dict[int, int]:
     """count(d) for each circular distance class d in 1..floor(n/2).
 
@@ -234,8 +213,12 @@ def verify_quorum_set(qs: QuorumSet, r: int) -> VerificationReport:
                               violations=tuple(violations))
 
 
-def _capacity_floor(n: int, r: int) -> int:
-    """Smallest k whose pair budget can satisfy every distance class."""
+def search_floor(n: int, r: int) -> int:
+    """Lower bound on the r-redundant base size for ring length n.
+
+    The smallest k whose pair budget can satisfy every distance class.
+    It is never below Maekawa's bound (k*(k-1) + 1 >= n) or min(r, n).
+    """
     classes = n // 2
     if classes == 0:
         return 1
@@ -248,11 +231,6 @@ def _capacity_floor(n: int, r: int) -> int:
     while k * (k - 1) // 2 < need:
         k += 1
     return k
-
-
-def search_floor(n: int, r: int) -> int:
-    """Lower bound on the r-redundant base size for ring length n."""
-    return max(lower_bound_k(n), _capacity_floor(n, r), min(r, n))
 
 
 class _LevelBudgetUp(Exception):

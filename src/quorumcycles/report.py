@@ -41,15 +41,7 @@ class InsufficientSamplesError(ValueError):
 
 
 class ExperimentError(RuntimeError):
-    """Raised when an experiment cell cannot be computed.
-
-    Carries any rows finished before the failure so partial results
-    are not lost.
-    """
-
-    def __init__(self, message: str, rows: Sequence["ResultRow"] = ()):
-        super().__init__(message)
-        self.rows = list(rows)
+    """Raised when an experiment cell cannot be computed."""
 
 
 @dataclass(frozen=True)
@@ -233,8 +225,8 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             base = _resolve_base(g.n, r, base_files)
         except (OSError, ValueError, SearchBudgetExhausted) as exc:
             raise ExperimentError(
-                f"{spec.network} r={r}: no usable quorum base ({exc})",
-                rows) from exc
+                f"{spec.network} r={r}: no usable quorum base ({exc})"
+            ) from exc
         qs = generate_quorums(base)
         cycle_lists = []
         excluded = 0
@@ -246,7 +238,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
         if len(cycle_lists) < 2:
             raise ExperimentError(
                 f"{spec.network} r={r}: only {len(cycle_lists)} of "
-                f"{spec.mapping_count} mappings routed", rows)
+                f"{spec.mapping_count} mappings routed")
 
         for mode in spec.modes:
             plans = [DeploymentPlan(n=g.n, mode=mode, cycles=cycles)

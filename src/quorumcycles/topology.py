@@ -284,8 +284,9 @@ def generate_mappings(n: int, count: int, seed: int) -> list[NodeMapping]:
     from a single generator seeded with `seed`, so a longer ensemble with
     the same seed extends a shorter one.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    # type() rather than isinstance(): True would otherwise pass as 1
+    if type(count) is not int or count < 1:
+        raise ValueError(f"mapping count must be an int >= 1, got {count!r}")
     mappings = [NodeMapping.identity(n)]
     rng = random.Random(seed)
     for _ in range(count - 1):

@@ -10,7 +10,6 @@ from quorumcycles import (
     CycleRoute,
     DeploymentPlan,
     FaultModel,
-    FaultScenario,
     Topology,
     TrailMode,
     bundled_base,
@@ -31,29 +30,14 @@ TRI_PLAN = DeploymentPlan(
 
 # --------------------------------------------------------------- scenarios
 
-def test_scenario_canonicalizes_edges():
-    s = FaultScenario(failed_edges=((3, 1), (2, 1)))
-    assert s.failed_edges == ((1, 2), (1, 3))
-    assert s.order == 2
-
-
-def test_scenario_rejects_duplicates():
-    with pytest.raises(ValueError, match="duplicate"):
-        FaultScenario(failed_edges=((1, 2), (2, 1)))
-
-
 def test_enumerate_single_faults(triangle):
-    scenarios = enumerate_faults(triangle, 1)
-    assert [s.failed_edges for s in scenarios] == [
-        ((1, 2),), ((1, 3),), ((2, 3),)]
+    assert enumerate_faults(triangle, 1) == (((1, 2),), ((1, 3),), ((2, 3),))
 
 
 def test_enumerate_double_faults(square):
     scenarios = enumerate_faults(square, 2)
     assert len(scenarios) == 6
-    assert scenarios == tuple(
-        FaultScenario(failed_edges=pair)
-        for pair in itertools.combinations(square.edges, 2))
+    assert scenarios == tuple(itertools.combinations(square.edges, 2))
 
 
 def test_enumerate_counts_on_bundled_network():
@@ -63,8 +47,9 @@ def test_enumerate_counts_on_bundled_network():
 
 
 def test_enumerate_rejects_bad_orders(triangle):
-    with pytest.raises(ValueError, match=">= 1"):
-        enumerate_faults(triangle, 0)
+    for order in (0, True, 1.5):
+        with pytest.raises(ValueError, match="int >= 1"):
+            enumerate_faults(triangle, order)
     with pytest.raises(ValueError):
         enumerate_faults(triangle, 4)
 
@@ -72,7 +57,28 @@ def test_enumerate_rejects_bad_orders(triangle):
 # --------------------------------------------------------------- evaluate
 
 def served(plan, *edges, fault_model=FaultModel.TRUNCATED):
-    return evaluate(plan, [FaultScenario(failed_edges=edges)], fault_model)[0]
+    return evaluate(plan, [edges], fault_model)[0]
+
+
+def test_evaluate_accepts_links_either_way_round():
+    plan = DeploymentPlan(
+        n=4, mode=TrailMode.SINGLE,
+        cycles=(CycleRoute(sequence=(1, 2, 3, 4, 1), hub=1),
+                CycleRoute(sequence=(1, 3, 2, 1), hub=1)))
+    for model in FaultModel:
+        assert served(plan, (3, 1), (2, 1), fault_model=model) == \
+            served(plan, (1, 2), (1, 3), fault_model=model)
+        assert served(plan, (3, 2), fault_model=model) == \
+            served(plan, (2, 3), fault_model=model)
+    # a written-backwards link must not miss: the square loses pairs
+    assert served(plan, (3, 2)) < served(plan)
+
+
+def test_evaluate_counts_repeated_link_once():
+    for edges in [((1, 2), (2, 1)), ((2, 3), (2, 3)), ((3, 2), (2, 3))]:
+        assert served(TRI_PLAN, *edges) == served(TRI_PLAN, edges[0])
+    assert served(TRI_PLAN, (2, 3), (3, 2), (1, 2)) == \
+        served(TRI_PLAN, (1, 2), (2, 3))
 
 
 def test_triangle_paired_per_scenario():
@@ -82,11 +88,9 @@ def test_triangle_paired_per_scenario():
 
 
 def test_coverage_sample_fields():
-    scenario = FaultScenario(failed_edges=((2, 3),))
     total = TRI_PLAN.n * (TRI_PLAN.n - 1)
     assert total == 6
-    assert evaluate(TRI_PLAN, [scenario])[0] / total == pytest.approx(4 / 6)
-    assert scenario.order == 1
+    assert evaluate(TRI_PLAN, [((2, 3),)])[0] / total == pytest.approx(4 / 6)
 
 
 def test_simulate_sink_receives_every_sample(triangle):
@@ -167,13 +171,14 @@ def test_memoized_evaluator_matches_oracle(case):
     n, cycles, edges, rng = case
     plan = DeploymentPlan(n=n, mode=TrailMode.PAIRED, cycles=tuple(cycles))
     seqs = [c.sequence for c in cycles]
-    # one call, so repeated and overlapping faults reuse the plan's tables
-    scenarios = [FaultScenario(failed_edges=tuple(rng.sample(edges, 2)))
+    # one call, so repeated and overlapping faults reuse the plan's tables;
+    # each link is written either way round, which the oracle ignores
+    scenarios = [tuple(e[::-1] if rng.random() < 0.5 else e
+                       for e in rng.sample(edges, 2))
                  for _ in range(6)]
     scenarios += scenarios[:3]
     got = evaluate(plan, scenarios)
-    assert got == [len(plan_served_pairs(seqs, True, s.failed_edges))
-                   for s in scenarios]
+    assert got == [len(plan_served_pairs(seqs, True, s)) for s in scenarios]
 
 
 def assert_evaluate_matches_plan_union(n, cycles, scenarios):
@@ -185,7 +190,7 @@ def assert_evaluate_matches_plan_union(n, cycles, scenarios):
             got = evaluate(plan, scenarios, model)
             assert got == [
                 len(plan_served_pairs(
-                    seqs, mode is TrailMode.PAIRED, s.failed_edges,
+                    seqs, mode is TrailMode.PAIRED, s,
                     whole_cycle=model is FaultModel.WHOLE_CYCLE))
                 for s in scenarios]
 

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from quorumcycles.quorums import (InfeasibleRedundancyError, QuorumBase,
                                   SearchBudget, SearchBudgetExhausted,
                                   bundled_base, difference_counts,
-                                  estimate_khat, generate_quorums,
-                                  is_r_redundant, load_base, lower_bound_k,
-                                  pair_coverage, save_base, search_min_base,
-                                  verify_quorum_set)
+                                  generate_quorums, is_r_redundant, load_base,
+                                  pair_coverage, save_base, search_floor,
+                                  search_min_base, verify_quorum_set)
 
 from oracles import (distance_counts_by_enumeration, min_base_exhaustive,
                      redundant_by_enumeration, reference_search,
@@ -29,15 +28,16 @@ def base_strategy(max_n=20):
 
 
 def test_lower_bound_anchor_values():
-    assert lower_bound_k(7) == 3
-    assert lower_bound_k(13) == 4
-    assert lower_bound_k(14) == 5
-
-
-def test_estimate_khat_values():
-    assert estimate_khat(5, 1) == 5
-    assert estimate_khat(5, 2) == 8
-    assert estimate_khat(5, 3) == 9
+    assert search_floor(7, 1) == 3
+    assert search_floor(13, 1) == 4
+    assert search_floor(14, 1) == 5
+    for n in range(2, 401):
+        # Maekawa: k quorum members cover at most k*(k-1) nonzero differences
+        maekawa = 1
+        while maekawa * (maekawa - 1) + 1 < n:
+            maekawa += 1
+        for r in range(1, min(n, 8) + 1):
+            assert search_floor(n, r) >= max(r, maekawa), (n, r)
 
 
 def test_difference_counts_small_bases():

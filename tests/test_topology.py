@@ -170,6 +170,12 @@ def test_generate_mappings_prefix_stable():
     assert [m.perm for m in short] == [m.perm for m in long[:4]]
 
 
+def test_generate_mappings_rejects_bad_count():
+    for count in (0, True, 2.5):
+        with pytest.raises(ValueError, match="int >= 1"):
+            generate_mappings(14, count, 0)
+
+
 def test_generate_mappings_thousand_bijections():
     maps = generate_mappings(14, 1000, seed=7)
     assert len(maps) == 1000
