@@ -177,6 +177,9 @@ def verify_quorum_set(qs: QuorumSet, r: int) -> VerificationReport:
     Deliberately avoids the difference-count shortcut so it can serve as
     an independent referee for the fast predicate.
     """
+    # type() rather than isinstance(): True would otherwise pass as 1
+    if type(r) is not int or r < 1:
+        raise ValueError(f"r must be a positive int, got {r!r}")
     violations = []
     sizes = {len(q) for q in qs.quorums}
     k_hat = len(qs.quorums[0]) if qs.quorums else 0

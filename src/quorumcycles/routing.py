@@ -18,7 +18,6 @@ node sequence) so routing is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .quorums import QuorumSet
 from .topology import NodeMapping, Topology, canonical_edge, find_bridges, relabel
@@ -98,51 +97,70 @@ class CycleRoute:
         return frozenset(self.sequence)
 
 
+def _walk_bits(g: Topology, seq: tuple[int, ...]) -> int:
+    """The links a node sequence crosses, as an int of link bits."""
+    links = g.link_bits
+    bits = 0
+    try:
+        for u, w in zip(seq, seq[1:]):
+            bits |= links[u][w]
+    except (KeyError, IndexError):
+        raise ValueError(f"{list(seq)} steps between nodes that share no link") from None
+    return bits
+
+
 def _layered_paths(g: Topology, source: int, cset: frozenset[int],
-                   banned: frozenset[Edge] = frozenset(),
-                   goal: int | None = None) -> dict[int, tuple[int, tuple[int, ...]]]:
+                   banned: int = 0, goal: int | None = None
+                   ) -> dict[int, tuple[int, tuple[int, ...], int]]:
     """BFS keeping, per node, the best shortest path from source.
 
     Best means most cset nodes on the path, then lexicographically
-    smallest node sequence.  Returns {node: (cset_count, path)}.  Given a
-    goal, the search stops after the layer that settles it: later layers
-    never change an entry already made.
+    smallest node sequence.  banned is an int of `Topology.link_bits`
+    the paths may not cross.  Returns {node: (cset_count, path, bits)},
+    bits being the links the path crosses.  Given a goal, the search
+    stops after the layer that settles it: later layers never change an
+    entry already made.
     """
-    adj = g.adjacency
-    best: dict[int, tuple[int, tuple[int, ...]]] = {
-        source: (1 if source in cset else 0, (source,))
+    links = g.link_bits
+    best: dict[int, tuple[int, tuple[int, ...], int]] = {
+        source: (1 if source in cset else 0, (source,), 0)
     }
     frontier = [source]
     while frontier and goal not in best:
-        layer: dict[int, tuple[int, tuple[int, ...]]] = {}
+        layer: dict[int, tuple[int, tuple[int, ...], int]] = {}
         for u in frontier:
-            cnt, path = best[u]
-            for w in adj[u]:
-                if w in best or canonical_edge(u, w) in banned:
+            cnt, path, bits = best[u]
+            for w, bit in links[u].items():
+                if bit & banned or w in best:
                     continue
                 c = cnt + (w in cset)
                 held = layer.get(w)
                 # paths into one layer are equally long, so the parents
-                # order the extended paths
+                # order the extended paths, whatever order they come in
                 if (held is None or c > held[0]
                         or (c == held[0] and path < held[1])):
-                    layer[w] = (c, path + (w,))
+                    layer[w] = (c, path + (w,), bits | bit)
         best.update(layer)
-        frontier = sorted(layer)
+        frontier = layer
     return best
 
 
-def _rank(inside: int, path: tuple[int, ...]) -> tuple[Fraction, int, tuple[int, ...]]:
-    """Seed order: most members per path node, then fewer hops, then lexicographic."""
-    return (-Fraction(inside, len(path)), len(path) - 1, path)
+def _rank(inside: int, path: tuple[int, ...]) -> tuple[float, int, tuple[int, ...]]:
+    """Seed order: most members per path node, then fewer hops, then lexicographic.
+
+    The float ratio orders exactly as the fraction would: division is
+    correctly rounded, and with denominators of at most n + 1 two
+    different ratios lie much further apart than a rounding step.
+    """
+    return (-inside / len(path), len(path) - 1, path)
 
 
-def _densest(g: Topology, source: int, members: frozenset[int],
-             banned: frozenset[Edge]) -> tuple[int, ...] | None:
-    """Best-ranked shortest path from source to another member, or None."""
+def _densest(g: Topology, source: int, members: frozenset[int], banned: int
+             ) -> tuple[int, tuple[int, ...], int] | None:
+    """Best-ranked shortest path entry from source to another member, or None."""
     best = _layered_paths(g, source, members, banned)
-    ranked = [_rank(*best[t]) for t in members if t != source and t in best]
-    return min(ranked)[-1] if ranked else None
+    reached = [best[t] for t in members if t != source and t in best]
+    return min(reached, key=lambda e: _rank(e[0], e[1])) if reached else None
 
 
 def ratio_bfs(g: Topology, source: int, c: frozenset[int] | set[int]) -> tuple[int, ...]:
@@ -157,18 +175,12 @@ def ratio_bfs(g: Topology, source: int, c: frozenset[int] | set[int]) -> tuple[i
         raise ValueError(f"source {source} is not in the communication set")
     if len(cset) < 2:
         raise ValueError("communication set needs a second member to aim for")
-    path = _densest(g, source, cset, frozenset())
-    if path is None:
+    entry = _densest(g, source, cset, 0)
+    if entry is None:
         raise RoutingInfeasibleError(
             f"no member of {sorted(cset)} reachable from {source}"
         )
-    return path
-
-
-def _shortest_avoiding(g: Topology, start: int, goal: int, banned: frozenset[Edge],
-                       cset: frozenset[int] = frozenset()) -> tuple[int, ...] | None:
-    entry = _layered_paths(g, start, cset, banned, goal).get(goal)
-    return entry[1] if entry else None
+    return entry[1]
 
 
 def close_cycle(g: Topology, path: tuple[int, ...],
@@ -181,31 +193,96 @@ def close_cycle(g: Topology, path: tuple[int, ...],
     """
     if len(path) < 2:
         raise ValueError("path needs at least one edge to close")
-    used = frozenset(_walk_edges(path))
-    ret = _shortest_avoiding(g, path[-1], path[0], used, frozenset(c))
+    start, end = path[0], path[-1]
+    ret = _layered_paths(g, end, frozenset(c), _walk_bits(g, path), start).get(start)
     if ret is None:
         raise NoReturnPathError(tuple(path))
-    return CycleRoute(sequence=tuple(path) + ret[1:], hub=path[0])
+    return CycleRoute(sequence=tuple(path) + ret[1][1:], hub=start)
 
 
-def _detour(g: Topology, a: int, v: int, b: int, banned: frozenset[Edge],
-            cset: frozenset[int] = frozenset()) -> tuple[int, ...] | None:
-    """Edge-distinct walk a -> v -> b avoiding banned edges, or None.
+def _leg_key(entry: tuple[int, tuple[int, ...], int]) -> tuple:
+    """Leg order of _layered_paths: fewer hops, more members, lexicographic."""
+    return (len(entry[1]), -entry[0], entry[1])
 
-    Greedy in two orders (a->v first, or v->b first) since the first leg
-    can block the second; keeps the better feasible combination.
+
+def _off_cycle_legs(g: Topology, v: int, cycle_bits: int, cset: frozenset[int]):
+    """One BFS from v off the cycle, and the detour legs that follow from it.
+
+    Returns (dv, legs).  dv maps each node v reaches without crossing a
+    link in cycle_bits to its hop distance.  legs(a, b), for a cycle
+    link (a, b) with a or b in dv, returns the best a -> v and v -> b
+    legs over the graph minus every other cycle link, each as a
+    _layered_paths entry, exactly as a search from a or v would find
+    them.  A shortest leg crosses (a, b) only as its first (a -> v) or
+    last (v -> b) link, so each leg is the better of one that stays off
+    the cycle and one through the other end of the link.  A candidate
+    that meets that other end twice is longer than the one that stays
+    off the cycle, so it never wins.
     """
+    links = g.link_bits
+    tree = _layered_paths(g, v, cset, cycle_bits)
+    dv = {u: len(path) - 1 for u, (_, path, _) in tree.items()}
+    into: dict[int, tuple[int, tuple[int, ...], int]] = {}
+
+    def toward(x: int) -> tuple[int, tuple[int, ...], int]:
+        # the best off-cycle x -> v path: a shortest path holds as many
+        # members as its reverse, so each step down a layer goes to the
+        # neighbour with the largest tree count, then the smallest id
+        if x not in into:
+            path, bits, u = [x], 0, x
+            for depth in range(dv[x] - 1, -1, -1):
+                step = None
+                for w, bit in links[u].items():
+                    if dv.get(w) == depth and not bit & cycle_bits:
+                        key = (-tree[w][0], w)
+                        if step is None or key < step[0]:
+                            step = (key, w, bit)
+                _, u, bit = step
+                path.append(u)
+                bits |= bit
+            into[x] = (tree[x][0], tuple(path), bits)
+        return into[x]
+
+    def legs(a: int, b: int):
+        bit = links[a][b]
+        firsts, backs = [], []
+        if a in tree:
+            firsts.append(toward(a))
+            cnt, path, bits = tree[a]
+            backs.append((cnt + (b in cset), path + (b,), bits | bit))
+        if b in tree:
+            backs.append(tree[b])
+            cnt, path, bits = toward(b)
+            firsts.append((cnt + (a in cset), (a,) + path, bits | bit))
+        return min(firsts, key=_leg_key), min(backs, key=_leg_key)
+
+    return dv, legs
+
+
+def _detour(g: Topology, first: tuple[int, tuple[int, ...], int],
+            back: tuple[int, tuple[int, ...], int], banned: int,
+            cset: frozenset[int] = frozenset()) -> tuple[int, ...] | None:
+    """Edge-distinct walk a -> v -> b avoiding banned links, or None.
+
+    first and back are the best a -> v and v -> b legs avoiding banned.
+    Greedy in two orders (a->v first, or v->b first) since the first leg
+    can block the second; keeps the better feasible combination.  When
+    the legs share no link, each order's re-search returns the other
+    order's leg unchanged (a best path present in a subgraph is still
+    best there), so both orders give first + back.
+    """
+    _, av, av_bits = first
+    _, vb, vb_bits = back
+    if not av_bits & vb_bits:
+        return av + vb[1:]
+    a, v, b = av[0], av[-1], vb[-1]
     candidates = []
-    first = _shortest_avoiding(g, a, v, banned, cset)
-    if first is not None:
-        second = _shortest_avoiding(g, v, b, banned.union(_walk_edges(first)), cset)
-        if second is not None:
-            candidates.append(first + second[1:])
-    back = _shortest_avoiding(g, v, b, banned, cset)
-    if back is not None:
-        fore = _shortest_avoiding(g, a, v, banned.union(_walk_edges(back)), cset)
-        if fore is not None:
-            candidates.append(fore + back[1:])
+    second = _layered_paths(g, v, cset, banned | av_bits, b).get(b)
+    if second is not None:
+        candidates.append(av + second[1][1:])
+    fore = _layered_paths(g, a, cset, banned | vb_bits, v).get(v)
+    if fore is not None:
+        candidates.append(fore[1] + vb[1:])
     if not candidates:
         return None
     return min(candidates, key=lambda w: (len(w), w))
@@ -225,14 +302,13 @@ def insert_missing(g: Topology, route: CycleRoute, v: int,
     if v in seq:
         raise ValueError(f"node {v} is already on the cycle")
     cset = frozenset(c)
-    all_edges = frozenset(_walk_edges(seq))
-    # hop distances from v off the cycle; far exceeds any real leg length
+    links = g.link_bits
+    cycle_bits = _walk_bits(g, seq)
+    dv, legs = _off_cycle_legs(g, v, cycle_bits, cset)
     far = g.n + 1
-    dv = {u: len(path) - 1 for u, (_, path)
-          in _layered_paths(g, v, frozenset(), all_edges).items()}
     # with only (a, b) unbanned, a shortest a -> v leg either avoids (a, b)
     # or crosses it first, so it is exactly la = min(dv[a], 1 + dv[b]) long
-    # (unreachable: _detour finds nothing), and the v -> b leg is at least
+    # (unreachable: no detour), and the v -> b leg is at least
     # lb = min(dv[b], 1 + dv[a]).  A detour at pos thus gives a cycle of at
     # least len(seq) - 2 + la + lb links; once (bound, pos) passes the best
     # (length, pos) so far, neither it nor any later entry can win or tie
@@ -249,7 +325,7 @@ def insert_missing(g: Topology, route: CycleRoute, v: int,
         if best is not None and (bound, pos) > best[:2]:
             break
         a, b = seq[pos], seq[pos + 1]
-        det = _detour(g, a, v, b, all_edges - {canonical_edge(a, b)}, cset)
+        det = _detour(g, *legs(a, b), cycle_bits ^ links[a][b], cset)
         if det is None:
             continue
         new_len = len(seq) - 2 + len(det) - 1
@@ -271,10 +347,10 @@ def _rotate_to(seq: tuple[int, ...], hub: int) -> tuple[int, ...]:
 def _separating_bridges(g: Topology, cset: frozenset[int]) -> list[Edge]:
     """Bridges with communication members on both sides (the offending cuts)."""
     out = []
-    for bridge in sorted(find_bridges(g)):
-        side = _layered_paths(g, bridge[0], frozenset(), frozenset({bridge}))
+    for u, w in sorted(find_bridges(g)):
+        side = _layered_paths(g, u, frozenset(), g.link_bits[u][w])
         if 0 < len(cset.intersection(side)) < len(cset):
-            out.append(bridge)
+            out.append((u, w))
     return out
 
 
@@ -300,12 +376,13 @@ def _collect(g: Topology, seed: tuple[int, ...],
     splicing pays two hops per member; collecting on the way out often
     beats that on dense graphs.
     """
-    path = tuple(seed)
+    path, bits = tuple(seed), _walk_bits(g, seed)
     while missing := cset.difference(path):
-        leg = _densest(g, path[-1], missing, frozenset(_walk_edges(path)))
+        leg = _densest(g, path[-1], missing, bits)
         if leg is None:
             raise NoReturnPathError(path)
-        path += leg[1:]
+        path += leg[1][1:]
+        bits |= leg[2]
     return path
 
 

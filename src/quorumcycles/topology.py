@@ -58,6 +58,18 @@ class Topology:
         return tuple(tuple(sorted(ns)) for ns in neighbors)
 
     @cached_property
+    def link_bits(self) -> tuple[dict[int, int], ...]:
+        """link_bits[u][w] is 1 << i for the link edges[i] joining u and w.
+
+        An int of such bits names a set of links, so a banned set is one
+        int and a membership test one AND.
+        """
+        table: list[dict[int, int]] = [{} for _ in range(self.n + 1)]
+        for i, (u, v) in enumerate(self.edges):
+            table[u][v] = table[v][u] = 1 << i
+        return tuple(table)
+
+    @cached_property
     def hops(self) -> tuple[tuple[int, ...], ...]:
         """All-pairs hop distances, hops[u][v]; n marks an unreachable pair."""
         table = [()]

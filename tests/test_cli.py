@@ -114,6 +114,15 @@ def test_quorum_verify_rejects_higher_r(capsys, tri_files):
     assert "violation:" in out
 
 
+def test_quorum_verify_rejects_r_zero(capsys, tri_files):
+    _, base = tri_files
+    code, out, err = run(capsys, "quorum", "verify",
+                         "--base-file", base, "--r", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: r must be a positive int, got 0\n"
+
+
 def test_quorum_verify_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "quorum", "verify",
                        "--base-file", str(tmp_path / "nope.json"), "--r", "1")

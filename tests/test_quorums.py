@@ -110,6 +110,13 @@ def test_verify_accepts_valid_sets():
     assert verify_quorum_set(generate_quorums(base(5, (1, 2, 3, 4))), 2).ok
 
 
+@pytest.mark.parametrize("r", [0, -1, True, 1.5])
+def test_verify_rejects_non_positive_or_non_int_r(r):
+    # r <= 0 is met by every set, so "ok" would say nothing
+    with pytest.raises(ValueError, match="r must be a positive int"):
+        verify_quorum_set(generate_quorums(base(4, (1, 2, 3))), r)
+
+
 def test_verify_flags_empty_intersection():
     report = verify_quorum_set(generate_quorums(base(4, (1, 2))), 1)
     assert not report.ok

@@ -16,8 +16,8 @@ from quorumcycles.topology import (NodeMapping, Topology, bundled_topology,
                                    generate_mappings)
 
 from conftest import adjacency_dict
-from oracles import (all_c_paths, best_insertion, minimal_cycle_length,
-                     random_connected_graph)
+from oracles import (all_c_paths, best_insertion, best_shortest_path,
+                     detour_walk, minimal_cycle_length, random_connected_graph)
 
 
 def graph(n, edges):
@@ -113,6 +113,11 @@ def test_close_cycle_bridge_fails():
         close_cycle(g, (1, 2))
 
 
+def test_close_cycle_rejects_path_off_the_graph(square):
+    with pytest.raises(ValueError, match="share no link"):
+        close_cycle(square, (1, 3))
+
+
 def test_insert_adjacent_to_consecutive_nodes(square):
     g = graph(5, list(square.edges) + [(1, 5), (2, 5)])
     cycle = CycleRoute(sequence=(1, 2, 3, 4, 1), hub=1)
@@ -189,6 +194,82 @@ def test_insert_matches_scan_of_every_position():
             assert got == seq[:pos + 1] + det[1:] + seq[pos + 2:], (g.edges, seq, v)
             outcomes["inserted"] += 1
     assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_tree_legs_and_detours_match_oracle():
+    # insert_missing derives both greedy legs at a link position from one
+    # BFS off the cycle and re-searches only when they share a link; legs
+    # and detours must equal the brute-force referee's, unreachable
+    # positions included
+    rng = random.Random(20261018)
+    seen = {"legs": 0, "unreachable": 0, "overlap": 0, "disjoint": 0}
+    for _ in range(150):
+        n = rng.randrange(5, 17)
+        g = graph(n, random_connected_graph(rng, n, rng.randrange(0, n)))
+        size = rng.randrange(2, min(n, 6) + 1)
+        cset = frozenset(rng.sample(range(1, n + 1), size))
+        try:
+            cycle = close_cycle(g, ratio_bfs(g, min(cset), cset), cset)
+        except NoReturnPathError:
+            continue
+        adj = adjacency_dict(g)
+        seq = cycle.sequence
+        links = [frozenset(e) for e in zip(seq, seq[1:])]
+        cycle_bits = routing._walk_bits(g, seq)
+        for v in sorted(set(g.nodes) - cycle.nodes):
+            dv, legs = routing._off_cycle_legs(g, v, cycle_bits, cset)
+            for a, b in zip(seq, seq[1:]):
+                banned = set(links) - {frozenset((a, b))}
+                first = best_shortest_path(adj, a, v, banned, cset)
+                back = best_shortest_path(adj, v, b, banned, cset)
+                if a not in dv and b not in dv:
+                    assert first is None and back is None
+                    seen["unreachable"] += 1
+                    continue
+                got = legs(a, b)
+                assert [leg[1] for leg in got] == [first, back], (g.edges, seq, v)
+                for leg in got:
+                    assert leg[0] == len(cset.intersection(leg[1]))
+                    assert leg[2] == routing._walk_bits(g, leg[1])
+                seen["legs"] += 1
+                seen["overlap" if got[0][2] & got[1][2] else "disjoint"] += 1
+                det = routing._detour(g, *got, cycle_bits ^ g.link_bits[a][b], cset)
+                assert det == detour_walk(adj, a, v, b, banned, cset), (g.edges, seq, v)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_layered_paths_under_ban_masks_match_oracle():
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randrange(3, 11)
+        g = graph(n, random_connected_graph(rng, n, rng.randrange(0, n)))
+        adj = adjacency_dict(g)
+        mask = rng.getrandbits(len(g.edges))
+        banned = {frozenset(e) for i, e in enumerate(g.edges) if mask >> i & 1}
+        cset = frozenset(rng.sample(range(1, n + 1), rng.randrange(0, n + 1)))
+        source = rng.randrange(1, n + 1)
+        tree = routing._layered_paths(g, source, cset, mask)
+        for goal in g.nodes:
+            path = best_shortest_path(adj, source, goal, banned, cset)
+            bounded = routing._layered_paths(g, source, cset, mask, goal)
+            assert tree.get(goal) == bounded.get(goal)
+            if path is None:
+                assert goal not in tree
+                continue
+            count, got, bits = tree[goal]
+            assert got == path, (g.edges, mask, source, goal)
+            assert count == len(cset.intersection(path))
+            assert bits == routing._walk_bits(g, path)
+
+
+def test_seed_rank_orders_as_fractions():
+    # _rank's float ratio must sort and tie exactly as the fraction does
+    # for every path of up to 200 nodes
+    pairs = [(p, q) for q in range(1, 201) for p in range(q + 1)]
+    ratio = {(p, q): routing._rank(p, (0,) * q)[0] for p, q in pairs}
+    assert (sorted(pairs, key=lambda pq: (ratio[pq], pq))
+            == sorted(pairs, key=lambda pq: (-Fraction(*pq), pq)))
+    assert len(set(ratio.values())) == len({Fraction(p, q) for p, q in pairs})
 
 
 def test_route_cycle_triangle(triangle):
@@ -330,6 +411,24 @@ def test_insertion_detour_calls_capped(monkeypatch):
     route_all(g, generate_quorums(bundled_base(g.n, 1)), NodeMapping.identity(g.n))
     # 5,165 calls with the off-cycle distance bound, 14,155 with plain hops
     assert calls <= 6000, calls
+
+
+def test_bfs_calls_capped(monkeypatch):
+    # one off-cycle BFS per insertion yields both detour legs, so a detour
+    # searches again only when its legs share a link
+    calls = 0
+    original = routing._layered_paths
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(routing, "_layered_paths", counting)
+    g = bundled_topology("chinese")
+    route_all(g, generate_quorums(bundled_base(g.n, 1)), NodeMapping.identity(g.n))
+    # 15,180 calls with tree-derived legs, 26,670 with four searches per detour
+    assert calls <= 16000, calls
 
 
 def test_route_cycle_reaches_module_level_stages(monkeypatch):
