@@ -2,11 +2,10 @@
 """Run the headline experiment grid and print the result tables.
 
 Desk scale by default: 100 mappings on the small networks, fewer on the
-big ones (the 54-node backbone costs about 7.5 s per mapping across the
+big ones (the 54-node backbone costs about 4.5 s per mapping across the
 three redundancy levels on a 2-vCPU VM), single-fault everywhere,
 two-fault only on the 14-node network.  The whole desk run finishes in
-about two and a half minutes there (151 s, 75 s of it on the 54-node
-backbone).
+under two minutes there (99 s, 45 s of it on the 54-node backbone).
 --full switches to 1000 mappings and two-fault on every network; budget
 a day for the 54-node backbone.  Output lands in experiments/ as csv
 plus plotdata json.  --networks restricts the grid: such a run prints

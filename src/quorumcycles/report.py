@@ -92,8 +92,9 @@ class ExperimentSpec:
             raise ValueError("at least one trail mode is required")
         if any(type(o) is not int or o not in (1, 2) for o in self.fault_orders):
             raise ValueError(f"fault orders must be ints 1 or 2: {self.fault_orders}")
-        if type(self.mapping_count) is not int or self.mapping_count < 1:
-            raise ValueError(f"mapping count must be an int >= 1: {self.mapping_count!r}")
+        # every cell is a 95% interval, which needs two samples
+        if type(self.mapping_count) is not int or self.mapping_count < 2:
+            raise ValueError(f"mapping count must be an int >= 2: {self.mapping_count!r}")
         if type(self.seed) is not int:
             raise ValueError(f"seed must be an int: {self.seed!r}")
         # a repeated value would route, evaluate and emit the same cells twice

@@ -110,23 +110,27 @@ def _walk_bits(g: Topology, seq: tuple[int, ...]) -> int:
 
 
 def _layered_paths(g: Topology, source: int, cset: frozenset[int],
-                   banned: int = 0, goal: int | None = None
+                   banned: int = 0, goals: frozenset[int] | set[int] = frozenset(),
+                   depth: int | None = None
                    ) -> dict[int, tuple[int, tuple[int, ...], int]]:
     """BFS keeping, per node, the best shortest path from source.
 
     Best means most cset nodes on the path, then lexicographically
     smallest node sequence.  banned is an int of `Topology.link_bits`
     the paths may not cross.  Returns {node: (cset_count, path, bits)},
-    bits being the links the path crosses.  Given a goal, the search
-    stops after the layer that settles it: later layers never change an
-    entry already made.
+    bits being the links the path crosses.  Given goals, the search
+    stops after the layer that settles the last of them, and given a
+    depth, after the layer at that many hops: later layers never change
+    an entry already made.
     """
     links = g.link_bits
     best: dict[int, tuple[int, tuple[int, ...], int]] = {
         source: (1 if source in cset else 0, (source,), 0)
     }
     frontier = [source]
-    while frontier and goal not in best:
+    layers = g.n if depth is None else depth
+    while frontier and layers > 0 and not (goals and goals <= best.keys()):
+        layers -= 1
         layer: dict[int, tuple[int, tuple[int, ...], int]] = {}
         for u in frontier:
             cnt, path, bits = best[u]
@@ -157,8 +161,11 @@ def _rank(inside: int, path: tuple[int, ...]) -> tuple[float, int, tuple[int, ..
 
 def _densest(g: Topology, source: int, members: frozenset[int], banned: int
              ) -> tuple[int, tuple[int, ...], int] | None:
-    """Best-ranked shortest path entry from source to another member, or None."""
-    best = _layered_paths(g, source, members, banned)
+    """Best-ranked shortest path entry from source to another member, or None.
+
+    Only members can be chosen, so the search ends once all are settled.
+    """
+    best = _layered_paths(g, source, members, banned, members)
     reached = [best[t] for t in members if t != source and t in best]
     return min(reached, key=lambda e: _rank(e[0], e[1])) if reached else None
 
@@ -184,18 +191,25 @@ def ratio_bfs(g: Topology, source: int, c: frozenset[int] | set[int]) -> tuple[i
 
 
 def close_cycle(g: Topology, path: tuple[int, ...],
-                c: frozenset[int] | set[int] = frozenset()) -> CycleRoute:
+                c: frozenset[int] | set[int] = frozenset(), *,
+                limit: int | None = None) -> CycleRoute | None:
     """Close an open path into a cycle without reusing its edges.
 
     The return path is a shortest one; among equally short candidates the
     one touching the most c-nodes wins (then lexicographic), which keeps
     later member insertions cheap.  The cycle starts where the path did.
+    Given a limit, returns None instead of a cycle longer than limit
+    links or of NoReturnPathError.
     """
     if len(path) < 2:
         raise ValueError("path needs at least one edge to close")
     start, end = path[0], path[-1]
-    ret = _layered_paths(g, end, frozenset(c), _walk_bits(g, path), start).get(start)
+    room = None if limit is None else limit - (len(path) - 1)
+    ret = _layered_paths(g, end, frozenset(c), _walk_bits(g, path),
+                         {start}, room).get(start)
     if ret is None:
+        if limit is not None:
+            return None
         raise NoReturnPathError(tuple(path))
     return CycleRoute(sequence=tuple(path) + ret[1][1:], hub=start)
 
@@ -261,7 +275,8 @@ def _off_cycle_legs(g: Topology, v: int, cycle_bits: int, cset: frozenset[int]):
 
 def _detour(g: Topology, first: tuple[int, tuple[int, ...], int],
             back: tuple[int, tuple[int, ...], int], banned: int,
-            cset: frozenset[int] = frozenset()) -> tuple[int, ...] | None:
+            cset: frozenset[int] = frozenset(), room: int | None = None
+            ) -> tuple[int, ...] | None:
     """Edge-distinct walk a -> v -> b avoiding banned links, or None.
 
     first and back are the best a -> v and v -> b legs avoiding banned.
@@ -269,7 +284,10 @@ def _detour(g: Topology, first: tuple[int, tuple[int, ...], int],
     can block the second; keeps the better feasible combination.  When
     the legs share no link, each order's re-search returns the other
     order's leg unchanged (a best path present in a subgraph is still
-    best there), so both orders give first + back.
+    best there), so both orders give first + back.  Given room, the
+    re-searches drop walks of more than room links, so the result is
+    the same whenever the walk fits and None (or a longer walk) when it
+    does not.
     """
     _, av, av_bits = first
     _, vb, vb_bits = back
@@ -277,10 +295,12 @@ def _detour(g: Topology, first: tuple[int, tuple[int, ...], int],
         return av + vb[1:]
     a, v, b = av[0], av[-1], vb[-1]
     candidates = []
-    second = _layered_paths(g, v, cset, banned | av_bits, b).get(b)
+    depth = None if room is None else room - (len(av) - 1)
+    second = _layered_paths(g, v, cset, banned | av_bits, {b}, depth).get(b)
     if second is not None:
         candidates.append(av + second[1][1:])
-    fore = _layered_paths(g, a, cset, banned | vb_bits, v).get(v)
+    depth = None if room is None else room - (len(vb) - 1)
+    fore = _layered_paths(g, a, cset, banned | vb_bits, {v}, depth).get(v)
     if fore is not None:
         candidates.append(fore[1] + vb[1:])
     if not candidates:
@@ -289,14 +309,17 @@ def _detour(g: Topology, first: tuple[int, tuple[int, ...], int],
 
 
 def insert_missing(g: Topology, route: CycleRoute, v: int,
-                   c: frozenset[int] | set[int] = frozenset()) -> CycleRoute:
+                   c: frozenset[int] | set[int] = frozenset(), *,
+                   limit: int | None = None) -> CycleRoute | None:
     """Splice node v into the cycle by the cheapest single-edge detour.
 
     A cycle edge (a, b) is replaced by a walk a -> v -> b; the replacement
     minimizing the resulting cycle length wins (ties: earliest edge
     position, then lexicographic detour).  Positions are tried cheapest
     lower bound first, and the search stops once no remaining position
-    can win, so the result equals a scan of every edge.
+    can win, so the result equals a scan of every edge.  Given a limit,
+    returns None instead of a cycle longer than limit links or of
+    InsertionInfeasibleError.
     """
     seq = route.sequence
     if v in seq:
@@ -312,7 +335,8 @@ def insert_missing(g: Topology, route: CycleRoute, v: int,
     # lb = min(dv[b], 1 + dv[a]).  A detour at pos thus gives a cycle of at
     # least len(seq) - 2 + la + lb links; once (bound, pos) passes the best
     # (length, pos) so far, neither it nor any later entry can win or tie
-    # at an earlier position.
+    # at an earlier position.  A limit acts as a best so far of limit + 1
+    # links ahead of every position.
     order = []
     for pos, (a, b) in enumerate(zip(seq, seq[1:])):
         da, db = dv.get(a, far), dv.get(b, far)
@@ -320,12 +344,19 @@ def insert_missing(g: Topology, route: CycleRoute, v: int,
         if la < far:
             order.append((len(seq) - 2 + la + min(db, 1 + da), pos))
     order.sort()
-    best: tuple[int, int, tuple[int, ...]] | None = None
+    best: tuple[int, int, tuple[int, ...] | None] | None = (
+        None if limit is None else (limit + 1, -1, None))
     for bound, pos in order:
-        if best is not None and (bound, pos) > best[:2]:
-            break
+        room = None
+        if best is not None:
+            # the longest cycle that still wins here: ties win only
+            # ahead of the best position
+            cap = best[0] - (pos > best[1])
+            if bound > cap:
+                break
+            room = cap - (len(seq) - 2)
         a, b = seq[pos], seq[pos + 1]
-        det = _detour(g, *legs(a, b), cycle_bits ^ links[a][b], cset)
+        det = _detour(g, *legs(a, b), cycle_bits ^ links[a][b], cset, room)
         if det is None:
             continue
         new_len = len(seq) - 2 + len(det) - 1
@@ -335,6 +366,8 @@ def insert_missing(g: Topology, route: CycleRoute, v: int,
     if best is None:
         raise InsertionInfeasibleError(v, seq)
     _, pos, det = best
+    if det is None:
+        return None
     new_seq = seq[: pos + 1] + det[1:] + seq[pos + 2:]
     return replace(route, sequence=new_seq)
 
@@ -354,30 +387,50 @@ def _separating_bridges(g: Topology, cset: frozenset[int]) -> list[Edge]:
     return out
 
 
-def _insert_all(g: Topology, route: CycleRoute, cset: frozenset[int]) -> CycleRoute:
+def _insert_all(g: Topology, route: CycleRoute, cset: frozenset[int],
+                limit: int | None = None) -> CycleRoute | None:
+    """Splice every missing member in, nearest to the cycle first.
+
+    Given a limit, returns None once the cycle cannot stay within limit
+    links: the detour that takes in a member d hops off the cycle
+    replaces one link by a walk of at least 2d.
+    """
     while True:
         on_cycle = set(route.sequence)
         missing = sorted(cset - on_cycle)
         if not missing:
             return route
+        dists = [(min(g.hops[v][u] for u in on_cycle), v) for v in missing]
         # nearest-to-cycle first, ties by node id
-        dist, v = min((min(g.hops[v][u] for u in on_cycle), v) for v in missing)
+        dist, v = min(dists)
         if dist == g.n:  # no missing member is reachable
             raise InsertionInfeasibleError(missing[0], route.sequence)
-        route = insert_missing(g, route, v, cset)
+        if limit is not None and route.length - 1 + 2 * max(dists)[0] > limit:
+            return None
+        route = insert_missing(g, route, v, cset, limit=limit)
+        if route is None:
+            return None
 
 
-def _collect(g: Topology, seed: tuple[int, ...],
-             cset: frozenset[int]) -> tuple[int, ...]:
+def _unclosable(g: Topology, path: tuple[int, ...], limit: int | None) -> bool:
+    """True when closing path must give a cycle of more than limit links."""
+    return limit is not None and len(path) - 1 + g.hops[path[-1]][path[0]] > limit
+
+
+def _collect(g: Topology, seed: tuple[int, ...], cset: frozenset[int],
+             limit: int | None = None) -> tuple[int, ...] | None:
     """Grow the seed through the missing members, for closing afterwards.
 
     Each extension leg is a shortest edge-unused path to some missing
     member, densest in missing members first.  Closing early and
     splicing pays two hops per member; collecting on the way out often
-    beats that on dense graphs.
+    beats that on dense graphs.  Given a limit, returns None once the
+    path cannot be closed within limit links.
     """
     path, bits = tuple(seed), _walk_bits(g, seed)
     while missing := cset.difference(path):
+        if _unclosable(g, path, limit):
+            return None
         leg = _densest(g, path[-1], missing, bits)
         if leg is None:
             raise NoReturnPathError(path)
@@ -395,7 +448,10 @@ def route_cycle(g: Topology, c: frozenset[int] | set[int],
     collect the members while extending and close last.  The shortest
     finished cycle wins (ties lexicographic), so one stubborn seed
     cannot drag the result far from optimal.  The walk is rotated so
-    the hub sits at both ends.
+    the hub sits at both ends.  Each finish is bounded by the shortest
+    cycle so far: one that must come out longer stops early, while one
+    that may tie runs to the end, so the result is that of finishing
+    every seed in full.
     """
     cset = frozenset(c)
     if not cset:
@@ -427,11 +483,18 @@ def route_cycle(g: Topology, c: frozenset[int] | set[int],
     best: tuple[int, tuple[int, ...]] | None = None
     for seed in seeds:
         for grow in (False, True):
+            limit = None if best is None else best[0]
             try:
-                path = _collect(g, seed, cset) if grow else seed
-                route = _insert_all(g, close_cycle(g, path, cset), cset)
+                path = _collect(g, seed, cset, limit) if grow else seed
+                if path is None or _unclosable(g, path, limit):
+                    continue
+                route = close_cycle(g, path, cset, limit=limit)
+                if route is not None:
+                    route = _insert_all(g, route, cset, limit)
             except (NoReturnPathError, InsertionInfeasibleError) as exc:
                 last_error = exc
+                continue
+            if route is None:
                 continue
             cand = (route.length, _rotate_to(route.sequence, hub))
             if best is None or cand < best:

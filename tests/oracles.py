@@ -8,6 +8,7 @@ cannot vouch for itself.  Slow is fine; these run on small inputs.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 
 
@@ -311,6 +312,102 @@ def best_insertion(adj, seq, v, cset):
             if best is None or cand < best:
                 best = cand
     return best
+
+
+def _layered_best(adj, source, cset, banned):
+    """node -> (cset count, path) of its best shortest path from source.
+
+    Best as in best_shortest_path, built layer by layer over the whole
+    reachable graph so it scales to the bundled networks: the best path
+    into a node extends the best path into one of its parents.
+    """
+    best = {source: (int(source in cset), (source,))}
+    frontier = [source]
+    while frontier:
+        layer = {}
+        for u in frontier:
+            count, path = best[u]
+            for w in adj[u]:
+                if w in best or frozenset((u, w)) in banned:
+                    continue
+                cand = (count + (w in cset), path + (w,))
+                held = layer.get(w)
+                if held is None or (-cand[0], cand[1]) < (-held[0], held[1]):
+                    layer[w] = cand
+        best.update(layer)
+        frontier = list(layer)
+    return best
+
+
+def _seed_key(count, path):
+    return (-Fraction(count, len(path)), len(path) - 1, path)
+
+
+def _densest_leg(adj, source, members, banned):
+    """Best (count, path) from source to another member by seed order, or None."""
+    tree = _layered_best(adj, source, members, banned)
+    reached = [tree[t] for t in members if t != source and t in tree]
+    return min(reached, key=lambda e: _seed_key(*e)) if reached else None
+
+
+def reference_route_cycle(g, cset, hub):
+    """The cycle route_cycle picks, by finishing every seed in full.
+
+    This is the finishing loop as it ran before finishes were bounded by
+    the best cycle so far.  Seeds and collect legs come from a plain
+    full BFS here; closing and splicing are the library's close_cycle
+    and insert_missing without a limit, each refereed on its own.
+    Returns the shortest (then lexicographically smallest) sequence
+    rotated to start at hub, or None when every finish fails.
+    """
+    from quorumcycles.routing import (InsertionInfeasibleError,
+                                      NoReturnPathError, close_cycle,
+                                      insert_missing)
+
+    adj = {v: g.adjacency[v] for v in g.nodes}
+    members = frozenset(cset)
+    if len(members) == 1:
+        seeds = [(hub, w) for w in adj[hub]]
+    else:
+        legs = [_densest_leg(adj, s, members, set()) for s in sorted(members)]
+        seeds = [path for _, path in
+                 sorted((leg for leg in legs if leg), key=lambda e: _seed_key(*e))]
+
+    def collect(path):
+        while missing := members.difference(path):
+            leg = _densest_leg(adj, path[-1], missing, set(_walk_links(path)))
+            if leg is None:
+                return None
+            path += leg[1][1:]
+        return path
+
+    def finish(path):
+        route = close_cycle(g, path, members)
+        while missing := members.difference(route.sequence):
+            # nearest to the cycle first, ties by node id
+            dist, v = min((min(bfs_distances(adj, m).get(u, g.n)
+                               for u in route.sequence), m) for m in missing)
+            if dist == g.n:
+                return None
+            route = insert_missing(g, route, v, members)
+        return route.sequence
+
+    best = None
+    for seed in seeds:
+        for path in (seed, collect(seed)):
+            if path is None:
+                continue
+            try:
+                seq = finish(path)
+            except (NoReturnPathError, InsertionInfeasibleError):
+                continue
+            if seq is None:
+                continue
+            i = seq.index(hub)
+            cand = (len(seq) - 1, seq[i:-1] + seq[:i + 1])
+            if best is None or cand < best:
+                best = cand
+    return None if best is None else best[1]
 
 
 def trail_served_pairs(seq, failed_edges):

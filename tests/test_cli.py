@@ -360,6 +360,20 @@ def test_report_rejects_duplicate_spec_entries(capsys, tmp_path):
     assert err == "error: duplicate entries in r_values: (1, 1)\n"
 
 
+def test_report_rejects_single_mapping(capsys, tmp_path, monkeypatch):
+    # one mapping cannot give an interval: refused before any routing
+    routed = []
+    monkeypatch.setattr("quorumcycles.report.route_all",
+                        lambda *args: routed.append(args))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"topology": "nsfnet", "r": [1],
+                                "mappings": 1, "seed": 0}))
+    code, out, err = run(capsys, "report", "--spec-file", str(spec),
+                         "--format", "csv")
+    assert (code, out, routed) == (1, "", [])
+    assert err == "error: mapping count must be an int >= 2: 1\n"
+
+
 # ------------------------------------------------------------------- misc
 
 def test_unknown_subcommand_exits_2():

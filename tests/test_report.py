@@ -151,6 +151,21 @@ def test_load_spec_scalar_r_and_defaults(tmp_path):
         load_experiment_spec(p)
 
 
+def test_spec_rejects_single_mapping(tmp_path, monkeypatch):
+    # every cell is a 95% interval over mappings, which needs two samples:
+    # one mapping is refused with the spec, before any quorum is routed
+    def no_routing(*args):
+        raise AssertionError("routed a spec that cannot give an interval")
+
+    monkeypatch.setattr(report, "route_all", no_routing)
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"topology": "nsfnet", "r": 1,
+                             "mappings": 1, "seed": 0}))
+    with pytest.raises(ValueError, match="mapping count must be an int >= 2: 1"):
+        (spec,) = load_experiment_spec(p)
+        run_experiment(spec)
+
+
 def test_load_spec_resolves_relative_paths(tmp_path):
     (tmp_path / "net.txt").write_text("n 3\n1 2\n1 3\n2 3\n")
     p = tmp_path / "s.json"

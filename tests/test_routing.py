@@ -17,7 +17,8 @@ from quorumcycles.topology import (NodeMapping, Topology, bundled_topology,
 
 from conftest import adjacency_dict
 from oracles import (all_c_paths, best_insertion, best_shortest_path,
-                     detour_walk, minimal_cycle_length, random_connected_graph)
+                     detour_walk, minimal_cycle_length, random_connected_graph,
+                     reference_route_cycle)
 
 
 def graph(n, edges):
@@ -251,11 +252,18 @@ def test_layered_paths_under_ban_masks_match_oracle():
         tree = routing._layered_paths(g, source, cset, mask)
         for goal in g.nodes:
             path = best_shortest_path(adj, source, goal, banned, cset)
-            bounded = routing._layered_paths(g, source, cset, mask, goal)
+            bounded = routing._layered_paths(g, source, cset, mask, {goal})
             assert tree.get(goal) == bounded.get(goal)
             if path is None:
                 assert goal not in tree
                 continue
+            # a depth cap keeps exactly the entries that fit under it
+            hops = len(path) - 1
+            assert routing._layered_paths(g, source, cset, mask, (),
+                                          hops).get(goal) == tree[goal]
+            if hops:
+                assert goal not in routing._layered_paths(g, source, cset, mask,
+                                                          (), hops - 1)
             count, got, bits = tree[goal]
             assert got == path, (g.edges, mask, source, goal)
             assert count == len(cset.intersection(path))
@@ -331,6 +339,53 @@ def test_route_cycle_near_optimal_on_random_graphs(seed):
     assert optimum is not None
     assert_valid_cycle(cycle, g, cset)
     assert cycle.length <= 1.2 * optimum, (seed, cycle.sequence, optimum)
+
+
+def test_route_cycle_equals_unbounded_reference(monkeypatch):
+    # route_cycle bounds every finish by the shortest cycle so far; it must
+    # pick what finishing every seed in full picks, ties included
+    pruned = 0
+    for name in ("close_cycle", "insert_missing"):
+        original = getattr(routing, name)
+
+        def counting(*args, _original=original, **kwargs):
+            nonlocal pruned
+            out = _original(*args, **kwargs)
+            pruned += out is None
+            return out
+
+        monkeypatch.setattr(routing, name, counting)
+    rng = random.Random(20261019)
+    outcomes = {"routed": 0, "infeasible": 0}
+    for _ in range(300):
+        n = rng.randrange(4, 17)
+        g = graph(n, random_connected_graph(rng, n, rng.randrange(0, 2 * n)))
+        cset = frozenset(rng.sample(range(1, n + 1), rng.randrange(1, min(n, 7) + 1)))
+        hub = rng.choice(sorted(cset))
+        expected = reference_route_cycle(g, cset, hub)
+        try:
+            got = route_cycle(g, cset, hub).sequence
+        except RoutingInfeasibleError:
+            got = None
+        assert got == expected, (g.edges, sorted(cset), hub)
+        outcomes["routed" if got else "infeasible"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+    assert pruned >= 100, pruned
+
+
+@pytest.mark.parametrize("network,r_values,mappings", [
+    ("nsfnet", (1, 2, 3), 2), ("arpanet", (1, 3), 2),
+    ("american", (1, 3), 1), ("chinese", (1,), 1)])
+def test_route_cycle_equals_reference_on_bundled_networks(network, r_values,
+                                                          mappings):
+    g = bundled_topology(network)
+    for r in r_values:
+        qs = generate_quorums(bundled_base(g.n, r))
+        for m in generate_mappings(g.n, mappings, seed=5):
+            for i, quorum in enumerate(qs.quorums, start=1):
+                cset = {m.apply(v) for v in quorum}
+                got = route_cycle(g, cset, hub=m.apply(i)).sequence
+                assert got == reference_route_cycle(g, cset, m.apply(i)), (r, i)
 
 
 def test_route_all_k4_triangles(k4):
@@ -429,6 +484,48 @@ def test_bfs_calls_capped(monkeypatch):
     route_all(g, generate_quorums(bundled_base(g.n, 1)), NodeMapping.identity(g.n))
     # 15,180 calls with tree-derived legs, 26,670 with four searches per detour
     assert calls <= 16000, calls
+
+
+@pytest.fixture(scope="module")
+def chinese_r1_settled():
+    # nodes settled by every BFS of the 54-node r=1 identity routing, and
+    # by those run for _densest; counts repeat exactly, unlike timings
+    settled = {"all": 0, "densest": 0}
+    in_densest = False
+    bfs, densest = routing._layered_paths, routing._densest
+
+    def counting_bfs(*args, **kwargs):
+        tree = bfs(*args, **kwargs)
+        settled["all"] += len(tree)
+        settled["densest"] += len(tree) if in_densest else 0
+        return tree
+
+    def flagging_densest(*args, **kwargs):
+        nonlocal in_densest
+        in_densest = True
+        try:
+            return densest(*args, **kwargs)
+        finally:
+            in_densest = False
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(routing, "_layered_paths", counting_bfs)
+        mp.setattr(routing, "_densest", flagging_densest)
+        g = bundled_topology("chinese")
+        route_all(g, generate_quorums(bundled_base(g.n, 1)), NodeMapping.identity(g.n))
+    return settled
+
+
+def test_bfs_settled_nodes_capped(chinese_r1_settled):
+    # finishes bounded by the best cycle so far: 377,994 settled nodes,
+    # 580,529 when every finish runs to the end
+    assert chinese_r1_settled["all"] <= 400_000, chinese_r1_settled
+
+
+def test_densest_settled_nodes_capped(chinese_r1_settled):
+    # _densest stops once every member is settled: 114,630 settled nodes,
+    # 139,008 with a full BFS behind the same bounded finishes
+    assert chinese_r1_settled["densest"] <= 120_000, chinese_r1_settled
 
 
 def test_route_cycle_reaches_module_level_stages(monkeypatch):
