@@ -259,13 +259,21 @@ def _search_level(n: int, r: int, k_hat: int, counter: list[int],
     candidate clears popcount(need[0] & hit) + popcount(need[1] & both)
     units.  On even n the half-way class gains 2 per pair, so it needs
     ceil(r/2) pairs.
+
+    The last slot is solved in closed form rather than candidate by
+    candidate: x completes the base iff it hits every class of need[0],
+    hits every class of need[1] from both sides and need[2] is empty.
+    Class c is hit from below by x in fwd << c and from above by x in
+    fwd << (n - c) (no such side for the half-way class), so the valid x
+    form one int mask.  The counter still counts every candidate of that
+    slot: the span up to the lowest valid x, or to n when there is none.
     """
     half = n // 2
     # each future pair clears at most 2 units on even n (half-way class)
     scale = 2 if n % 2 == 0 else 1
     low = (1 << (half + 1)) - 2         # classes 1..half
     high = (1 << (n - half)) - 2        # classes 1..n-half-1
-    need = [low] * r + [0, 0]           # two empty layers under the last
+    need = [low] * r + [0, 0, 0]        # empty layers under the last
     if scale == 2:
         for j in range((r + 1) // 2, r):
             need[j] &= ~(1 << half)
@@ -273,9 +281,32 @@ def _search_level(n: int, r: int, k_hat: int, counter: list[int],
     limit = sys.maxsize if max_nodes is None else max_nodes
     nodes = counter[0]
     layers = range(r)
+    ring = (2 << n) - 1                 # candidates up to n
 
     def members(fwd: int) -> tuple[int, ...]:
         return tuple(s for s in range(1, n + 1) if fwd >> s & 1)
+
+    def finish(fwd, need0, need1, deficit, last):
+        nonlocal nodes
+        # each of the k_hat - 1 members pairs with x once and clears at
+        # most one unit; need[2] is empty iff need0 and need1 hold the
+        # whole deficit
+        ok = 0
+        if (deficit < k_hat
+                and deficit == need0.bit_count() + need1.bit_count()):
+            ok = ring >> (last + 1) << (last + 1)
+            while need0 and ok:
+                c = (need0 & -need0).bit_length() - 1
+                need0 &= need0 - 1
+                far = fwd << (n - c) if c < n - half else 0
+                ok &= fwd << c & far if need1 >> c & 1 else fwd << c | far
+        x = (ok & -ok).bit_length() - 1 if ok else n
+        if nodes + x - last > limit:
+            x = last + limit - nodes + 1
+            nodes = limit + 1
+            raise _LevelBudgetUp(members(fwd) + (x,))
+        nodes += x - last
+        return members(fwd) + (x,) if ok else None
 
     def extend(fwd, rev, need, deficit, last, slots):
         nonlocal nodes
@@ -283,7 +314,7 @@ def _search_level(n: int, r: int, k_hat: int, counter: list[int],
         # before the call, when its deficit exceeds its future pairs
         rest = slots - 1
         bound = scale * ((k_hat - rest) * rest + rest * (rest - 1) // 2)
-        need0, need1 = need[0], need[1]
+        need0, need1, need2 = need[0], need[1], need[2]
         for x in range(last + 1, n - slots + 2):
             nodes += 1
             if nodes > limit:
@@ -297,14 +328,17 @@ def _search_level(n: int, r: int, k_hat: int, counter: list[int],
                     - (need1 & both).bit_count())
             if left > bound:
                 continue
-            if not rest:
-                return members(fwd) + (x,)
             keep, once = ~hit, hit ^ both
-            found = extend(
-                fwd | 1 << x, rev | 1 << shift,
-                [need[j] & keep | need[j + 1] & once | need[j + 2] & both
-                 for j in layers] + [0, 0],
-                left, x, rest)
+            if rest == 1:
+                found = finish(
+                    fwd | 1 << x, need0 & keep | need1 & once | need2 & both,
+                    need1 & keep | need2 & once | need[3] & both, left, x)
+            else:
+                found = extend(
+                    fwd | 1 << x, rev | 1 << shift,
+                    [need[j] & keep | need[j + 1] & once | need[j + 2] & both
+                     for j in layers] + [0, 0, 0],
+                    left, x, rest)
             if found:
                 return found
         return None
@@ -313,6 +347,8 @@ def _search_level(n: int, r: int, k_hat: int, counter: list[int],
     if deficit > scale * (rest + rest * (rest - 1) // 2):
         return None
     try:
+        if rest == 1:
+            return finish(1 << 1, need[0], need[1], deficit, 1)
         return extend(1 << 1, 1 << (n - 1), need, deficit, 1, rest)
     finally:
         counter[0] = nodes

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quorumcycles import quorums
 from quorumcycles.quorums import (InfeasibleRedundancyError, QuorumBase,
                                   SearchBudget, SearchBudgetExhausted,
                                   bundled_base, difference_counts,
@@ -11,7 +12,8 @@ from quorumcycles.quorums import (InfeasibleRedundancyError, QuorumBase,
                                   pair_coverage, save_base, search_floor,
                                   search_min_base, verify_quorum_set)
 
-from oracles import (distance_counts_by_enumeration, min_base_exhaustive,
+from oracles import (_reference_level, _ReferenceBudgetUp,
+                     distance_counts_by_enumeration, min_base_exhaustive,
                      redundant_by_enumeration, reference_search,
                      rotated_quorums)
 
@@ -174,28 +176,55 @@ def test_search_flags_skipped_levels():
     assert is_r_redundant(result.base)
 
 
+def search_outcome(n, r, max_nodes):
+    """What search_min_base reports, in the shape of reference_search."""
+    try:
+        result = search_min_base(n, r, SearchBudget(max_nodes=max_nodes))
+    except SearchBudgetExhausted as err:
+        return {"frontier": err.frontier, "nodes_explored": err.nodes_explored}
+    return {"members": result.base.members,
+            "nodes_explored": result.nodes_explored,
+            "exhausted_k": result.exhausted_k,
+            "skipped_k": result.skipped_k}
+
+
 @pytest.mark.parametrize("max_nodes", [None, 5, 50, 777])
 def test_search_matches_reference_dfs(max_nodes):
     # same DFS tree as the closure DFS: base, node count, levels, frontier;
     # 5 nodes a level skips every level for 60 of the 86 cases, so their
     # frontiers are compared too
-    budget = SearchBudget(max_nodes=max_nodes)
     for n in range(2, 31):
         for r in range(1, min(3, n) + 1):
             if max_nodes is None and (n, r) == (30, 3):
                 continue  # 14.3M nodes: about three minutes in the referee
             expect = reference_search(n, r, max_nodes)
-            try:
-                result = search_min_base(n, r, budget)
-            except SearchBudgetExhausted as err:
-                got = {"frontier": err.frontier,
-                       "nodes_explored": err.nodes_explored}
-            else:
-                got = {"members": result.base.members,
-                       "nodes_explored": result.nodes_explored,
-                       "exhausted_k": result.exhausted_k,
-                       "skipped_k": result.skipped_k}
-            assert got == expect, (n, r, max_nodes)
+            assert search_outcome(n, r, max_nodes) == expect, (n, r, max_nodes)
+
+
+def level_outcome(search, stop, n, r, k_hat, max_nodes):
+    """One size level on its own: its base or budget frontier, and its nodes."""
+    counter = [0]
+    try:
+        return "done", search(n, r, k_hat, counter, max_nodes), counter[0]
+    except stop as up:
+        return "stopped", up.frontier, counter[0]
+
+
+@pytest.mark.parametrize("n,r", [(10, 3), (12, 2), (13, 1), (16, 3)])
+def test_search_budget_sweep_matches_reference(n, r):
+    # every stop point from 1 to 300 nodes, for the whole search and for
+    # each size level alone: a skipped level's frontier only shows when
+    # every level is skipped, and the level sweep is where budgets run out
+    # inside the last slot's closed-form span (37 stops past its first x)
+    for max_nodes in range(1, 301):
+        expect = reference_search(n, r, max_nodes)
+        assert search_outcome(n, r, max_nodes) == expect, max_nodes
+        for k_hat in range(search_floor(n, r), n + 1):
+            got = level_outcome(quorums._search_level, quorums._LevelBudgetUp,
+                                n, r, k_hat, max_nodes)
+            expect = level_outcome(_reference_level, _ReferenceBudgetUp,
+                                   n, r, k_hat, max_nodes)
+            assert got == expect, (max_nodes, k_hat)
 
 
 def test_search_node_count_pinned():
@@ -204,6 +233,21 @@ def test_search_node_count_pinned():
     assert result.nodes_explored == 263_669
     assert result.exhausted_k == (8,)
     assert result.base.members == (1, 2, 3, 4, 5, 6, 10, 16, 23)
+
+
+# the benchmark's other search cases, beyond the n <= 30 reference sweep
+@pytest.mark.parametrize("n,r,nodes,exhausted_k,members", [
+    (28, 2, 1_182_833, (8,), (1, 2, 3, 4, 5, 6, 9, 15, 22)),
+    (41, 1, 654_079, (7,), (1, 2, 3, 4, 5, 10, 16, 26)),
+    (43, 1, 330_972, (7,), (1, 2, 3, 4, 5, 11, 16, 27)),
+    (40, 2, 511_267, (), (1, 2, 3, 4, 6, 10, 15, 16, 23, 26)),
+])
+def test_search_benchmark_cases_pinned(n, r, nodes, exhausted_k, members):
+    result = search_min_base(n, r)
+    assert result.nodes_explored == nodes
+    assert result.exhausted_k == exhausted_k
+    assert result.base.members == members
+    assert result.proven_minimal
 
 
 @pytest.mark.parametrize("max_nodes", [0, -3, 2.5, True])
