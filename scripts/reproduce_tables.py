@@ -7,8 +7,8 @@ three redundancy levels on a 2-vCPU VM), single-fault everywhere,
 two-fault only on the 14-node network.  The whole desk run finishes in
 under two minutes there (99 s, 45 s of it on the 54-node backbone).
 --full switches to 1000 mappings and two-fault on every network; budget
-a day for the 54-node backbone.  Output lands in experiments/ as csv
-plus plotdata json.  --networks restricts the grid: such a run prints
+a day for the 54-node backbone.  Output lands in experiments/ as
+tables_{scale}.csv.  --networks restricts the grid: such a run prints
 its table but writes nothing, so it never replaces the whole grid's
 artifacts with a subset of their rows.
 """
@@ -71,9 +71,7 @@ def main(argv: list[str] | None = None):
     scale = "full" if args.full else "desk"
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / f"tables_{scale}.csv").write_text(emit(rows, "csv"))
-    (OUT_DIR / f"figures_{scale}.json").write_text(emit(rows, "plotdata"))
-    print(f"wrote experiments/tables_{scale}.csv and figures_{scale}.json",
-          file=sys.stderr)
+    print(f"wrote experiments/tables_{scale}.csv", file=sys.stderr)
 
 
 if __name__ == "__main__":

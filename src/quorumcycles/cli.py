@@ -20,6 +20,7 @@ import os
 import sys
 from pathlib import Path
 
+from . import report
 from .faultsim import enumerate_faults, evaluate
 from .lighttrail import DeploymentPlan, FaultModel, TrailMode
 from .quorums import (DEFAULT_SEARCH_BUDGET, QuorumBase, SearchBudget,
@@ -62,13 +63,13 @@ def _cmd_quorum_search(args) -> int:
 
 def _cmd_quorum_verify(args) -> int:
     base = load_base(args.base_file)
-    report = verify_quorum_set(generate_quorums(base), args.r)
-    print(f"n={report.n} r={args.r} k_hat={report.k_hat} "
-          f"min_pair_multiplicity={report.min_pair_multiplicity}")
-    for v in report.violations:
+    check = verify_quorum_set(generate_quorums(base), args.r)
+    print(f"n={check.n} r={args.r} k_hat={check.k_hat} "
+          f"min_pair_multiplicity={check.min_pair_multiplicity}")
+    for v in check.violations:
         print(f"violation: {v}")
-    print("ok" if report.ok else "FAILED")
-    return 0 if report.ok else 1
+    print("ok" if check.ok else "FAILED")
+    return 0 if check.ok else 1
 
 
 def _mapping_for(args, n: int) -> NodeMapping:
@@ -145,12 +146,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .report import emit, load_experiment_spec, run_experiment
-
+    # looked up on the module at call time, so a wrapper set on report
+    # (as perfbench/spans.py sets them) is the function that runs
     rows = []
-    for spec in load_experiment_spec(args.spec_file):
-        rows.extend(run_experiment(spec))
-    sys.stdout.write(emit(rows, args.format))
+    for spec in report.load_experiment_spec(args.spec_file):
+        rows.extend(report.run_experiment(spec))
+    sys.stdout.write(report.emit(rows, args.format))
     return 0
 
 
@@ -204,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rp = sub.add_parser("report", help="run an experiment spec and render rows")
     rp.add_argument("--spec-file", required=True)
-    rp.add_argument("--format", choices=["table", "csv", "json", "plotdata"],
-                    default="table")
+    rp.add_argument("--format", choices=list(report.FORMATS), default="table")
     rp.set_defaults(func=_cmd_report)
     return parser
 

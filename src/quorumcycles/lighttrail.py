@@ -44,6 +44,8 @@ class DeploymentPlan:
     cycles: tuple[CycleRoute, ...]
 
     def __post_init__(self):
+        # a plain string would otherwise fail every `is TrailMode...` test
+        object.__setattr__(self, "mode", TrailMode(self.mode))
         for cycle in self.cycles:
             for v in cycle.sequence:
                 if not 1 <= v <= self.n:
@@ -116,7 +118,7 @@ def served_bits(plan: DeploymentPlan, failed_sets: Iterable[Iterable[Edge]],
     written, and a repeated one only repeats the same min/max.
     """
     n, paired = plan.n, plan.mode is TrailMode.PAIRED
-    truncated = fault_model is FaultModel.TRUNCATED
+    truncated = FaultModel(fault_model) is FaultModel.TRUNCATED
     tables = []
     crossings: dict[Edge, list[tuple[int, int]]] = {}
     for i, cycle in enumerate(plan.cycles):

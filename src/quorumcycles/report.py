@@ -2,8 +2,7 @@
 
 Runs the full grid (redundancy level x trail mode x fault order) for a
 network, aggregating per-mapping metrics into means with 95% confidence
-intervals, and renders result rows as an aligned table, csv, json, or
-plot-ready series data.
+intervals, and renders result rows as an aligned table, csv or json.
 
 The unit of replication is the node mapping: every metric is computed
 per mapping first and the interval is taken across mappings.
@@ -273,18 +272,13 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
 
 
 def emit(rows: Sequence[ResultRow], format: str) -> str:
-    """Render rows as table, csv, json, or plotdata text."""
+    """Render rows in one of FORMATS."""
     if not rows:
         raise ValueError("no rows to emit")
-    if format == "csv":
-        return _emit_csv(rows)
-    if format == "json":
-        return _emit_json(rows)
-    if format == "table":
-        return _emit_table(rows)
-    if format == "plotdata":
-        return _emit_plotdata(rows)
-    raise ValueError(f"unknown format: {format!r}")
+    render = FORMATS.get(format)
+    if render is None:
+        raise ValueError(f"unknown format: {format!r}")
+    return render(rows)
 
 
 def _cells(row: ResultRow) -> tuple:
@@ -335,23 +329,5 @@ def _emit_table(rows: Sequence[ResultRow]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _emit_plotdata(rows: Sequence[ResultRow]) -> str:
-    """Series per network, grouped by metric and fault order.
-
-    Point x labels combine redundancy and mode ("R2-single") so one
-    axis can mix cells the way the coverage figures do.
-    """
-    groups: dict[tuple[str, int], dict[str, list]] = {}
-    for row in rows:
-        series = groups.setdefault((row.metric, row.fault_order), {})
-        series.setdefault(row.network, []).append({
-            "x": f"R{row.r}-{row.mode}",
-            "mean": row.mean, "lo": row.lo, "hi": row.hi, "n": row.n,
-        })
-    out = {"groups": [
-        {"metric": metric, "fault_order": order,
-         "series": [{"name": name, "points": pts}
-                    for name, pts in groups[(metric, order)].items()]}
-        for metric, order in sorted(groups)
-    ]}
-    return json.dumps(out, indent=2)
+# format name -> renderer; the cli offers exactly these names
+FORMATS = {"table": _emit_table, "csv": _emit_csv, "json": _emit_json}

@@ -11,6 +11,12 @@ heuristic pipeline:
   3. insert_missing - splice each leftover member into the cycle via the
                    cheapest single-edge detour
 
+route_cycle runs this from every member's seed path and finishes each
+seed two ways: close it first and splice the rest in (steps 2 and 3),
+or first extend it through the missing members (_collect) and close it
+last.  Each finish is bounded by the shortest cycle found so far and
+stops once it must come out longer; the shortest cycle wins.
+
 Ties everywhere break deterministically (fewer hops, then lexicographic
 node sequence) so routing is reproducible.
 """

@@ -163,8 +163,11 @@ def _parse_json(text: str) -> Topology:
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise TopologyError(f'"n" must be an integer, got {n!r}')
+    edges = obj["edges"]
+    if not isinstance(edges, list):
+        raise TopologyError(f'"edges" must be a list, got {edges!r}')
     raw = []
-    for i, pair in enumerate(obj["edges"]):
+    for i, pair in enumerate(edges):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(isinstance(x, int) and not isinstance(x, bool) for x in pair)):
             raise TopologyError(f"edge #{i + 1} must be a pair of integers, got {pair!r}")

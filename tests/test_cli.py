@@ -321,24 +321,6 @@ def test_report_csv(capsys, tmp_path, tri_files):
     assert all(r.network == "tri" for r in rows)
 
 
-def test_report_plotdata(capsys, tmp_path, tri_files):
-    topo, _ = tri_files
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({
-        "network": "tri", "topology": topo, "r": [1],
-        "modes": ["paired", "single"], "fault_orders": [1],
-        "mappings": 3, "seed": 2,
-    }))
-    code, out, _ = run(capsys, "report", "--spec-file", str(spec),
-                       "--format", "plotdata")
-    assert code == 0
-    data = json.loads(out)
-    coverage_groups = [g for g in data["groups"] if g["metric"] == "coverage"]
-    assert len(coverage_groups) == 1
-    (series,) = coverage_groups[0]["series"]
-    assert [p["x"] for p in series["points"]] == ["R1-paired", "R1-single"]
-
-
 def test_report_bad_spec(capsys, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text("{\"topology\": \"nsfnet\"}")
@@ -372,6 +354,13 @@ def test_report_rejects_single_mapping(capsys, tmp_path, monkeypatch):
                          "--format", "csv")
     assert (code, out, routed) == (1, "", [])
     assert err == "error: mapping count must be an int >= 2: 1\n"
+
+
+def test_report_format_outside_formats_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--spec-file", "unused.json", "--format", "plotdata"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'plotdata'" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- misc

@@ -10,6 +10,7 @@ from quorumcycles import (
     CycleRoute,
     DeploymentPlan,
     FaultModel,
+    NodeMapping,
     Topology,
     TrailMode,
     bundled_base,
@@ -98,6 +99,21 @@ def test_simulate_sink_receives_every_sample(triangle):
     assert evaluate(TRI_PLAN, scenarios) == [6, 6, 4]
     assert evaluate(TRI_PLAN, scenarios[::-1]) == [4, 6, 6]
     assert evaluate(TRI_PLAN, []) == []
+
+
+def test_evaluate_fault_model_by_value_matches_enum():
+    g = bundled_topology("nsfnet")
+    cycles = tuple(route_all(g, generate_quorums(bundled_base(14, 1)),
+                             NodeMapping.identity(14)))
+    plan = DeploymentPlan(n=14, mode="paired", cycles=cycles)
+    scenarios = enumerate_faults(g, 1)
+    for model, total in [(FaultModel.TRUNCATED, 3960),
+                         (FaultModel.WHOLE_CYCLE, 3632)]:
+        assert sum(evaluate(plan, scenarios, model)) == total
+        assert evaluate(plan, scenarios, model.value) == \
+            evaluate(plan, scenarios, model)
+    with pytest.raises(ValueError, match="not a valid FaultModel"):
+        evaluate(plan, scenarios, "bogus")
 
 
 def test_whole_cycle_single_plan_always_dark():

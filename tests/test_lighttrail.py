@@ -153,6 +153,9 @@ def test_plan_rejects_out_of_range_node():
         plan(TrailMode.SINGLE, SQUARE, n=3)
     with pytest.raises(ValueError, match="out of range"):
         served_pairs_cycle(TRIANGLE, TrailMode.PAIRED, 2)
+    for mode in ("bogus", "PAIRED", None):
+        with pytest.raises(ValueError, match="not a valid TrailMode"):
+            plan(mode, SQUARE)
 
 
 # ------------------------------------------------------------- link usage
@@ -163,6 +166,10 @@ def test_links_used_counts_orientations():
     assert links_used(plan(TrailMode.SINGLE, TRIANGLE, n=3)) == 3
     assert links_used(plan(TrailMode.PAIRED, TRIANGLE, n=3)) == 6
     assert links_used(plan(TrailMode.PAIRED, SQUARE, TRIANGLE)) == 14
+    # a mode given by its value is the same mode, not the other one
+    assert plan("paired", SQUARE).mode is TrailMode.PAIRED
+    assert links_used(plan("paired", SQUARE)) == 8
+    assert links_used(plan("single", SQUARE)) == 4
 
 
 # ------------------------------------------------------------- gap report

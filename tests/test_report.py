@@ -377,31 +377,9 @@ def test_emit_table():
     assert "99.1429" in text  # 99 + 1/7 at table precision
 
 
-def test_emit_plotdata_series_shape():
-    data = json.loads(emit(sample_rows(), "plotdata"))
-    assert len(data["groups"]) == 1
-    group = data["groups"][0]
-    assert group["metric"] == "coverage"
-    assert group["fault_order"] == 1
-    assert [s["name"] for s in group["series"]] == [
-        "alpha", "beta", "gamma", "delta"]
-    for series in group["series"]:
-        assert [p["x"] for p in series["points"]] == [
-            "R1-paired", "R2-single", "R3-single"]
-
-
-def test_emit_plotdata_groups_by_metric_and_order():
-    rows = sample_rows()
-    rows.append(ResultRow(network="alpha", r=1, mode="paired", metric="links",
-                          fault_order=0, mean=250.0, lo=240.0, hi=260.0,
-                          n=100, excluded=0))
-    data = json.loads(emit(rows, "plotdata"))
-    keys = [(g["metric"], g["fault_order"]) for g in data["groups"]]
-    assert keys == [("coverage", 1), ("links", 0)]
-
-
 def test_emit_rejects_empty_and_unknown():
     with pytest.raises(ValueError, match="no rows"):
         emit([], "csv")
-    with pytest.raises(ValueError, match="unknown format"):
-        emit(sample_rows(), "yaml")
+    for format in ("yaml", "plotdata"):
+        with pytest.raises(ValueError, match="unknown format"):
+            emit(sample_rows(), format)

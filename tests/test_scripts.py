@@ -40,4 +40,4 @@ def test_full_grid_writes_every_network(tmp_path, monkeypatch, capsys):
     assert "wrote experiments/tables_desk.csv" in err
     rows = parse_rows_csv((out_dir / "tables_desk.csv").read_text())
     assert [r.network for r in rows] == list(module.NETWORKS)
-    assert (out_dir / "figures_desk.json").is_file()
+    assert sorted(p.name for p in out_dir.iterdir()) == ["tables_desk.csv"]

@@ -63,6 +63,10 @@ def test_nonpositive_node_count_rejected():
 def test_missing_header_rejected():
     with pytest.raises(TopologyError, match="header"):
         parse_topology("1 2\n2 3\n")
+    # the JSON form's counterpart: "edges" must be a list of pairs
+    for edges in (5, None, "1 2", {"1": 2}):
+        with pytest.raises(TopologyError, match='"edges" must be a list'):
+            parse_topology(json.dumps({"n": 3, "edges": edges}))
 
 
 def test_serialize_round_trip(square):
