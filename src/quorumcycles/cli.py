@@ -108,14 +108,12 @@ def _cmd_simulate(args) -> int:
     try:
         with (open(tmp, "w", encoding="utf-8") if tmp
               else contextlib.nullcontext()) as dump:
-            for idx, mapping in enumerate(mappings):
-                try:
-                    cycles = tuple(route_all(g, qs, mapping))
-                except RoutingInfeasibleError as exc:
+            for idx, routed in enumerate(report.route_mappings(g, qs, mappings)):
+                if isinstance(routed, RoutingInfeasibleError):
                     rows.append([idx, "excluded", 0, "",
-                                 f"{type(exc).__name__}: {exc}"])
+                                 f"{type(routed).__name__}: {routed}"])
                     continue
-                plan = DeploymentPlan(n=g.n, mode=mode, cycles=cycles)
+                plan = DeploymentPlan(n=g.n, mode=mode, cycles=routed)
                 counts = evaluate(plan, scenarios, model)
                 mean = sum(counts) / (len(scenarios) * total)
                 means.append(mean)

@@ -6,6 +6,8 @@ intervals, and renders result rows as an aligned table, csv or json.
 
 The unit of replication is the node mapping: every metric is computed
 per mapping first and the interval is taken across mappings.
+`route_mappings` is the per-mapping unit of work; `report` and the
+cli's `simulate` both route their mappings through it.
 """
 
 from __future__ import annotations
@@ -14,21 +16,20 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from itertools import islice
 from math import sqrt
 from pathlib import Path
 from statistics import fmean, stdev
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .faultsim import enumerate_faults, evaluate
 from .lighttrail import (DeploymentPlan, FaultModel, TrailMode, links_used,
                          missing_pairs)
-from .quorums import (DEFAULT_SEARCH_BUDGET, QuorumBase, SearchBudget,
-                      SearchBudgetExhausted, bundled_base, generate_quorums,
-                      is_r_redundant, load_base, search_min_base)
-from .routing import RoutingInfeasibleError, route_all
-from .topology import (BUNDLED, bundled_topology, generate_mappings,
-                       load_topology)
+from .quorums import (DEFAULT_SEARCH_BUDGET, QuorumBase, QuorumSet,
+                      SearchBudget, SearchBudgetExhausted, bundled_base,
+                      generate_quorums, is_r_redundant, load_base, search_min_base)
+from .routing import CycleRoute, RoutingInfeasibleError, route_all
+from .topology import (BUNDLED, NodeMapping, Topology, bundled_topology,
+                       generate_mappings, load_topology)
 
 # normal-approximation z for the 95% level; sample counts here are large
 # enough that the t correction is noise
@@ -101,6 +102,10 @@ class ExperimentSpec:
             values = getattr(self, field)
             if len(set(values)) != len(values):
                 raise ValueError(f"duplicate entries in {field}: {values}")
+        # a base for an r that never runs would be silently ignored
+        for r, _ in self.base_files:
+            if r not in self.r_values:
+                raise ValueError(f"bases key {r} is not in r values {self.r_values}")
 
 
 @dataclass(frozen=True)
@@ -131,6 +136,8 @@ def load_experiment_spec(path: str | Path) -> list[ExperimentSpec]:
         entries = raw["experiments"]
         if not isinstance(entries, list):
             raise ValueError(f"experiments must be a list, got {entries!r}")
+        if not entries:
+            raise ValueError("experiments list is empty")
     else:
         entries = [raw]
     return [_spec_from_dict(e, path.resolve().parent) for e in entries]
@@ -207,6 +214,20 @@ def _resolve_base(n: int, r: int, base_files: dict[int, str]) -> QuorumBase:
     return result.base
 
 
+def route_mappings(g: Topology, qs: QuorumSet, mappings: Sequence[NodeMapping],
+                   ) -> Iterator[tuple[CycleRoute, ...] | RoutingInfeasibleError]:
+    """Per mapping, in order: its routed cycles, or the error excluding it.
+
+    Only RoutingInfeasibleError excludes a mapping; any other exception
+    is a fault in the program and propagates.
+    """
+    for m in mappings:
+        try:
+            yield route_all(g, qs, m)
+        except RoutingInfeasibleError as exc:
+            yield exc
+
+
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """All result rows for one spec; deterministic given the spec."""
     if spec.topology in BUNDLED:
@@ -216,7 +237,6 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     mappings = generate_mappings(g.n, spec.mapping_count, spec.seed)
     base_files = dict(spec.base_files)
     scenario_sets = {o: enumerate_faults(g, o) for o in spec.fault_orders}
-    all_scenarios = [s for scenarios in scenario_sets.values() for s in scenarios]
     total_pairs = g.n * (g.n - 1)
 
     rows: list[ResultRow] = []
@@ -227,14 +247,9 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             raise ExperimentError(
                 f"{spec.network} r={r}: no usable quorum base ({exc})"
             ) from exc
-        qs = generate_quorums(base)
-        cycle_lists = []
-        excluded = 0
-        for m in mappings:
-            try:
-                cycle_lists.append(tuple(route_all(g, qs, m)))
-            except RoutingInfeasibleError:
-                excluded += 1
+        routed = list(route_mappings(g, generate_quorums(base), mappings))
+        cycle_lists = [c for c in routed if isinstance(c, tuple)]
+        excluded = len(routed) - len(cycle_lists)
         if len(cycle_lists) < 2:
             raise ExperimentError(
                 f"{spec.network} r={r}: only {len(cycle_lists)} of "
@@ -255,19 +270,10 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             gaps = [missing_pairs(p) for p in plans]
             add("missing", 0, [float(mp.count) for mp in gaps])
             add("missing_pct", 0, [mp.percent for mp in gaps])
-
-            if spec.fault_orders:
-                cov: dict[int, list[float]] = {o: [] for o in spec.fault_orders}
-                for plan in plans:
-                    # one call over every order builds the plan's tables once
-                    counts = iter(evaluate(plan, all_scenarios,
-                                           spec.fault_model))
-                    for order, scenarios in scenario_sets.items():
-                        served = sum(islice(counts, len(scenarios)))
-                        cov[order].append(
-                            100.0 * served / (len(scenarios) * total_pairs))
-                for order in spec.fault_orders:
-                    add("coverage", order, cov[order])
+            for order, scenarios in scenario_sets.items():
+                add("coverage", order, [
+                    100.0 * sum(evaluate(p, scenarios, spec.fault_model))
+                    / (len(scenarios) * total_pairs) for p in plans])
     return rows
 
 

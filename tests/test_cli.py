@@ -7,7 +7,8 @@ import json
 
 import pytest
 
-from quorumcycles import QuorumBase, cli, parse_rows_csv, save_base
+from quorumcycles import (QuorumBase, bundled_base, cli, parse_rows_csv,
+                          save_base)
 from quorumcycles.cli import main
 
 
@@ -284,13 +285,51 @@ def test_simulate_programming_error_is_not_excluded(capsys, monkeypatch,
     def broken(*args, **kwargs):
         raise TypeError("bug in routing")
 
-    monkeypatch.setattr(cli, "route_all", broken)
+    monkeypatch.setattr("quorumcycles.report.route_all", broken)
     code, out, err = run(capsys, "simulate", "--topology", topo,
                          "--base-file", base, "--mode", "paired",
                          "--faults", "1", "--mappings", "2")
     assert code == 1
     assert "excluded" not in out
     assert err == "error: bug in routing\n"
+
+
+def test_simulate_excludes_only_the_unroutable_mapping(
+        capsys, tri_files, second_mapping_unroutable):
+    topo, base = tri_files
+    code, out, err = run(capsys, "simulate", "--topology", topo,
+                         "--base-file", base, "--mode", "paired",
+                         "--faults", "1", "--mappings", "3")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(row["status"], row["detail"]) for row in rows] == [
+        ("ok", ""), ("excluded", "RoutingInfeasibleError: forced"),
+        ("ok", "")]
+    assert "(1 excluded)" in err
+
+
+def test_report_and_simulate_measure_the_same_coverage(capsys, tmp_path):
+    # report takes the bundled base itself; simulate reads it from a file
+    base = tmp_path / "n14_r3.json"
+    save_base(bundled_base(14, 3), str(base))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "topology": "nsfnet", "r": [3], "modes": ["single"],
+        "fault_orders": [2], "mappings": 4, "seed": 3,
+    }))
+    code, out, _ = run(capsys, "report", "--spec-file", str(spec),
+                       "--format", "csv")
+    assert code == 0
+    (cov,) = [r for r in parse_rows_csv(out) if r.metric == "coverage"]
+    code, out, _ = run(capsys, "simulate", "--topology", "nsfnet",
+                       "--base-file", str(base),
+                       "--mode", "single", "--faults", "2",
+                       "--mappings", "4", "--seed", "3")
+    assert code == 0
+    means = [float(row["mean_coverage"])
+             for row in csv.DictReader(io.StringIO(out))]
+    assert len(means) == cov.n == 4
+    assert cov.mean == pytest.approx(100 * sum(means) / len(means), rel=1e-12)
 
 
 def test_simulate_base_size_mismatch(capsys, tri_files):

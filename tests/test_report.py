@@ -192,6 +192,7 @@ def test_load_spec_missing_field(tmp_path):
     ({"bases": {"1": 5}}, "bases entry 1 must be a file path, got 5"),
     ({"modes": "paired"}, "modes must be a list, got 'paired'"),
     ({"fault_orders": 1}, "fault_orders must be a list, got 1"),
+    ({"bases": {"2": "b.json"}}, "bases key 2 is not in r values (1,)"),
     ({"topology": 5}, "topology must be a string, got 5"),
     ({"network": 5}, "network must be a string, got 5"),
 ])
@@ -208,6 +209,7 @@ def test_load_spec_names_malformed_field(tmp_path, override, message):
     ([{"topology": "nsfnet"}], "experiment spec must be an object"),
     ({"experiments": [1]}, "experiment spec must be an object, got 1"),
     ({"experiments": {"topology": "nsfnet"}}, "experiments must be a list"),
+    ({"experiments": []}, "experiments list is empty"),
 ])
 def test_load_spec_rejects_non_object_entries(tmp_path, payload, message):
     p = tmp_path / "s.json"
@@ -311,6 +313,36 @@ def test_run_experiment_base_programming_error_propagates(tmp_path,
     monkeypatch.setattr(report, "bundled_base", broken)
     with pytest.raises(TypeError, match="bug in base lookup"):
         run_experiment(tri_spec(tmp_path))
+
+
+def test_run_experiment_counts_excluded_mapping(tmp_path,
+                                               second_mapping_unroutable):
+    rows = run_experiment(tri_spec(tmp_path))
+    assert len(second_mapping_unroutable) == 3
+    assert len(rows) == 8
+    assert {(r.n, r.excluded) for r in rows} == {(2, 1)}
+
+
+def test_run_experiment_routing_programming_error_propagates(tmp_path,
+                                                            monkeypatch):
+    def broken(*args):
+        raise TypeError("bug in routing")
+
+    monkeypatch.setattr(report, "route_all", broken)
+    with pytest.raises(TypeError, match="bug in routing"):
+        run_experiment(tri_spec(tmp_path))
+
+
+def test_run_experiment_orders_sweep_like_separate_specs(tmp_path):
+    # each order's coverage comes from its own sweep, in spec order
+    def coverage(orders):
+        rows = run_experiment(tri_spec(tmp_path, fault_orders=orders))
+        return [r for r in rows if r.metric == "coverage"]
+
+    both, twos, ones = coverage((2, 1)), coverage((2,)), coverage((1,))
+    assert both == [row for pair in zip(twos, ones) for row in pair]
+    assert [r.fault_order for r in both] == [2, 1, 2, 1]
+    assert both[0].mean != both[1].mean
 
 
 def test_run_experiment_unroutable_topology(tmp_path):
