@@ -192,9 +192,9 @@ def test_load_spec_missing_field(tmp_path):
     ({"bases": {"1": 5}}, "bases entry 1 must be a file path, got 5"),
     ({"modes": "paired"}, "modes must be a list, got 'paired'"),
     ({"fault_orders": 1}, "fault_orders must be a list, got 1"),
-    ({"bases": {"2": "b.json"}}, "bases key 2 is not in r values (1,)"),
     ({"topology": 5}, "topology must be a string, got 5"),
     ({"network": 5}, "network must be a string, got 5"),
+    ({"bases": {"2": "b.json"}}, "bases key 2 is not in r values (1,)"),
 ])
 def test_load_spec_names_malformed_field(tmp_path, override, message):
     p = tmp_path / "s.json"
