@@ -81,7 +81,7 @@ def main():
         bridges = find_bridges(t)
         assert not bridges, f"{name} has bridges: {sorted(bridges)}"
         path = out_dir / f"{name}.txt"
-        path.write_text(serialize_topology(t))
+        path.write_text(serialize_topology(t), encoding="utf-8")
         degs = [t.degree(v) for v in t.nodes]
         print(f"{name}: n={t.n} links={len(t.edges)} "
               f"deg[{min(degs)}..{max(degs)}] bridge-free -> {path.name}")

@@ -5,7 +5,8 @@ Desk scale by default: 100 mappings on the small networks, fewer on the
 big ones (the 54-node backbone costs about 4.5 s per mapping across the
 three redundancy levels on a 2-vCPU VM), single-fault everywhere,
 two-fault only on the 14-node network.  The whole desk run finishes in
-under two minutes there (99 s, 45 s of it on the 54-node backbone).
+under two minutes there (49-87 s over four runs, 24-42 s of it on the
+54-node backbone).
 --full switches to 1000 mappings and two-fault on every network; budget
 a day for the 54-node backbone.  Output lands in experiments/ as
 tables_{scale}.csv.  --networks restricts the grid: such a run prints
@@ -70,7 +71,7 @@ def main(argv: list[str] | None = None):
         return
     scale = "full" if args.full else "desk"
     OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / f"tables_{scale}.csv").write_text(emit(rows, "csv"))
+    (OUT_DIR / f"tables_{scale}.csv").write_text(emit(rows, "csv"), encoding="utf-8")
     print(f"wrote experiments/tables_{scale}.csv", file=sys.stderr)
 
 

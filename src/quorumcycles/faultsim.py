@@ -36,8 +36,8 @@ def evaluate(plan: DeploymentPlan, scenarios: Iterable[Iterable[Edge]],
 
     A scenario is any collection of failed links, each written either way
     round.  The counts come from lighttrail.served_bits, which builds the
-    plan's tables once, so a scenario costs two lookups per cycle it
-    crosses.
+    plan's tables once, so a scenario costs one lookup per six cycles it
+    leaves untouched plus the fragments of the cycles it crosses.
     """
     return [bits.bit_count()
             for bits in served_bits(plan, scenarios, fault_model)]

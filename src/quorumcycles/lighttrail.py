@@ -112,38 +112,76 @@ def served_bits(plan: DeploymentPlan, failed_sets: Iterable[Iterable[Edge]],
     the reversed pairs of the same segments).  A cycle whose failed links
     sit at positions first..last serves heads[first] | tails[last] under
     the truncated model, since breaks in between do not matter, and
-    nothing under whole-cycle.  The tables and the (cycle, position)
-    crossings of each link are built once per plan; crossings are filed
-    under both orientations, so a failed link matches however it is
-    written, and a repeated one only repeats the same min/max.
+    nothing under whole-cycle.
+
+    Built once per plan: each link's record (filed under both
+    orientations, so a failed link matches however it is written) holds
+    the mask of cycles it crosses, its crossings as (cycle, position,
+    heads[pos] | tails[pos]) and the OR of those fragments; and, per
+    block of six cycles, the clean bits of every subset of the block.
+    Per scenario, the untouched cycles cost one lookup per block.  A
+    failed link that shares no cycle with another adds its precomputed
+    OR; otherwise its unshared fragments count alone and each shared
+    cycle adds heads[first] | tails[last], which for a link repeated
+    is its own fragment again.  Under whole-cycle only the untouched
+    cycles serve.
     """
     n, paired = plan.n, plan.mode is TrailMode.PAIRED
     truncated = FaultModel(fault_model) is FaultModel.TRUNCATED
-    tables = []
-    crossings: dict[Edge, list[tuple[int, int]]] = {}
+    runs = []
+    blocks = []
+    crossings: dict[Edge, list[tuple[int, int, int]]] = {}
     for i, cycle in enumerate(plan.cycles):
         seq = cycle.sequence
         heads = _run_bits(seq, n, True, paired)
         tails = _run_bits(seq[:0:-1], n, paired, True)[::-1]
+        runs.append((heads, tails))
         # the run over the whole walk, closing hub included, orders every
         # pair exactly as the intact trail (and its reverse) does
-        tables.append((heads[-1], heads, tails))
+        if i % 6 == 0:
+            blocks.append([0])
+        table = blocks[-1]
+        table.extend([bits | heads[-1] for bits in table])
         for pos, edge in enumerate(cycle.edge_list):
-            crossings.setdefault(edge, []).append((i, pos))
-            crossings.setdefault(edge[::-1], []).append((i, pos))
+            frag = heads[pos] | tails[pos] if truncated else 0
+            crossings.setdefault(edge, []).append((i, pos, frag))
+    records: dict[Edge, tuple[int, list[tuple[int, int, int]], int]] = {}
+    for edge, frags in crossings.items():
+        mask = frag_or = 0
+        for i, _, frag in frags:
+            mask |= 1 << i
+            frag_or |= frag
+        records[edge] = records[edge[::-1]] = (mask, frags, frag_or)
+    every = (1 << len(plan.cycles)) - 1
     for failed in failed_sets:
-        spans: dict[int, tuple[int, int]] = {}
+        touched = shared = 0
+        hit = []
         for edge in failed:
-            for i, pos in crossings.get(edge, ()):
-                first, last = spans.get(i, (pos, pos))
-                spans[i] = (min(first, pos), max(last, pos))
+            record = records.get(edge)
+            if record is not None:
+                hit.append(record)
+                shared |= touched & record[0]
+                touched |= record[0]
         bits = 0
-        for i, (clean, heads, tails) in enumerate(tables):
-            span = spans.get(i)
-            if span is None:
-                bits |= clean
-            elif truncated:
-                bits |= heads[span[0]] | tails[span[1]]
+        untouched = every & ~touched
+        for table in blocks:
+            bits |= table[untouched & 63]
+            untouched >>= 6
+        if truncated:
+            spans: dict[int, tuple[int, int]] = {}
+            for mask, frags, frag_or in hit:
+                if not mask & shared:
+                    bits |= frag_or
+                    continue
+                for i, pos, frag in frags:
+                    if shared >> i & 1:
+                        first, last = spans.get(i, (pos, pos))
+                        spans[i] = (min(first, pos), max(last, pos))
+                    else:
+                        bits |= frag
+            for i, (first, last) in spans.items():
+                heads, tails = runs[i]
+                bits |= heads[first] | tails[last]
         yield bits
 
 

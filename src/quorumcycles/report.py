@@ -131,7 +131,7 @@ _COLUMNS = ("network", "r", "mode", "metric", "fault_order",
 def load_experiment_spec(path: str | Path) -> list[ExperimentSpec]:
     """Parse a spec file; a bare object or an {"experiments": [...]} list."""
     path = Path(path)
-    raw = json.loads(path.read_text())
+    raw = json.loads(path.read_text(encoding="utf-8"))
     if isinstance(raw, dict) and "experiments" in raw:
         entries = raw["experiments"]
         if not isinstance(entries, list):

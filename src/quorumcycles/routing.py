@@ -15,7 +15,10 @@ route_cycle runs this from every member's seed path and finishes each
 seed two ways: close it first and splice the rest in (steps 2 and 3),
 or first extend it through the missing members (_collect) and close it
 last.  Each finish is bounded by the shortest cycle found so far and
-stops once it must come out longer; the shortest cycle wins.
+stops once it must come out longer; the shortest cycle wins.  Seeds
+often close the same cycle, so the finishes of one route_cycle call
+share each off-cycle search and detour of insert_missing, keyed by the
+cycle's links and the member spliced in.
 
 Ties everywhere break deterministically (fewer hops, then lexicographic
 node sequence) so routing is reproducible.
@@ -316,7 +319,8 @@ def _detour(g: Topology, first: tuple[int, tuple[int, ...], int],
 
 def insert_missing(g: Topology, route: CycleRoute, v: int,
                    c: frozenset[int] | set[int] = frozenset(), *,
-                   limit: int | None = None) -> CycleRoute | None:
+                   limit: int | None = None,
+                   memo: dict | None = None) -> CycleRoute | None:
     """Splice node v into the cycle by the cheapest single-edge detour.
 
     A cycle edge (a, b) is replaced by a walk a -> v -> b; the replacement
@@ -326,6 +330,13 @@ def insert_missing(g: Topology, route: CycleRoute, v: int,
     can win, so the result equals a scan of every edge.  Given a limit,
     returns None instead of a cycle longer than limit links or of
     InsertionInfeasibleError.
+
+    memo, shared by calls on one g and c, keeps per (cycle link bits, v)
+    the off-cycle legs and each link's detour with the room it was
+    found under.  A detour found under a room is the unbounded one, so
+    it answers any room it fits; None under a room answers any smaller
+    one.  Other lookups search again, so the result never depends on
+    the memo.
     """
     seq = route.sequence
     if v in seq:
@@ -333,7 +344,12 @@ def insert_missing(g: Topology, route: CycleRoute, v: int,
     cset = frozenset(c)
     links = g.link_bits
     cycle_bits = _walk_bits(g, seq)
-    dv, legs = _off_cycle_legs(g, v, cycle_bits, cset)
+    if memo is None:
+        memo = {}
+    key = (cycle_bits, v)
+    if key not in memo:
+        memo[key] = (*_off_cycle_legs(g, v, cycle_bits, cset), {})
+    dv, legs, detours = memo[key]
     far = g.n + 1
     # with only (a, b) unbanned, a shortest a -> v leg either avoids (a, b)
     # or crosses it first, so it is exactly la = min(dv[a], 1 + dv[b]) long
@@ -362,7 +378,15 @@ def insert_missing(g: Topology, route: CycleRoute, v: int,
                 break
             room = cap - (len(seq) - 2)
         a, b = seq[pos], seq[pos + 1]
-        det = _detour(g, *legs(a, b), cycle_bits ^ links[a][b], cset, room)
+        # a walk found under some room is the unbounded one (one too long
+        # for this room loses to best below), and None under a room stays
+        # None under a smaller one
+        found = detours.get((a, b))
+        if found is None or (found[1] is None and found[0] is not None
+                             and (room is None or room > found[0])):
+            found = detours[a, b] = (room, _detour(
+                g, *legs(a, b), cycle_bits ^ links[a][b], cset, room))
+        det = found[1]
         if det is None:
             continue
         new_len = len(seq) - 2 + len(det) - 1
@@ -394,12 +418,13 @@ def _separating_bridges(g: Topology, cset: frozenset[int]) -> list[Edge]:
 
 
 def _insert_all(g: Topology, route: CycleRoute, cset: frozenset[int],
-                limit: int | None = None) -> CycleRoute | None:
+                limit: int | None, memo: dict) -> CycleRoute | None:
     """Splice every missing member in, nearest to the cycle first.
 
     Given a limit, returns None once the cycle cannot stay within limit
     links: the detour that takes in a member d hops off the cycle
-    replaces one link by a walk of at least 2d.
+    replaces one link by a walk of at least 2d.  memo goes to every
+    insert_missing call.
     """
     while True:
         on_cycle = set(route.sequence)
@@ -413,7 +438,7 @@ def _insert_all(g: Topology, route: CycleRoute, cset: frozenset[int],
             raise InsertionInfeasibleError(missing[0], route.sequence)
         if limit is not None and route.length - 1 + 2 * max(dists)[0] > limit:
             return None
-        route = insert_missing(g, route, v, cset, limit=limit)
+        route = insert_missing(g, route, v, cset, limit=limit, memo=memo)
         if route is None:
             return None
 
@@ -487,6 +512,7 @@ def route_cycle(g: Topology, c: frozenset[int] | set[int],
 
     last_error: RoutingError | None = None
     best: tuple[int, tuple[int, ...]] | None = None
+    memo: dict = {}
     for seed in seeds:
         for grow in (False, True):
             limit = None if best is None else best[0]
@@ -496,7 +522,7 @@ def route_cycle(g: Topology, c: frozenset[int] | set[int],
                     continue
                 route = close_cycle(g, path, cset, limit=limit)
                 if route is not None:
-                    route = _insert_all(g, route, cset, limit)
+                    route = _insert_all(g, route, cset, limit, memo)
             except (NoReturnPathError, InsertionInfeasibleError) as exc:
                 last_error = exc
                 continue

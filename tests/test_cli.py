@@ -4,12 +4,15 @@ import csv
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from quorumcycles import (QuorumBase, bundled_base, cli, parse_rows_csv,
                           save_base)
 from quorumcycles.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -393,6 +396,62 @@ def test_report_rejects_single_mapping(capsys, tmp_path, monkeypatch):
                          "--format", "csv")
     assert (code, out, routed) == (1, "", [])
     assert err == "error: mapping count must be an int >= 2: 1\n"
+
+
+def test_report_reads_spec_as_utf8_under_ascii_locale(tmp_path):
+    # topologies and bases are read as UTF-8 whatever the locale, and so
+    # is the spec; stdout is made UTF-8 so only the spec read is tested
+    import os
+    import subprocess
+    import sys
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "network": "nsfnet-Zürich", "topology": "nsfnet", "r": [1],
+        "modes": ["single"], "fault_orders": [1], "mappings": 2, "seed": 0,
+    }, ensure_ascii=False), encoding="utf-8")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONIOENCODING="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "quorumcycles", "report",
+         "--spec-file", str(spec), "--format", "csv"],
+        capture_output=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    rows = parse_rows_csv(proc.stdout.decode("utf-8"))
+    assert {row.network for row in rows} == {"nsfnet-Zürich"}
+
+
+# sha256 of the outputs every speedup must leave byte for byte unchanged
+SIMULATE_PINS = {
+    "stdout": "9dc5163e61d7ab240a5a41f5c4d6e9c653e709de6319d7efe4e0f4d6ff432892",
+    "stderr": "b1313e4a65561e0be42c9197207a6bdb369a914e4401a477620ceb1b57a08379",
+    "samples": "121813e861bc277043ac048d85edd9d7506a8a9db0ed90a5786e15fa28c6c566",
+}
+REPORT_DEMO_CSV_PIN = (
+    "a61b2147f1ec586a88a1384b449d10bda42029efbd6439b69bcb7c53020e56cd")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_simulate_nsfnet_outputs_pinned(capsys, tmp_path):
+    dump = tmp_path / "samples.jsonl"
+    code, out, err = run(
+        capsys, "simulate", "--topology", "nsfnet",
+        "--base-file", str(REPO / "src/quorumcycles/data/bases/n14_r3.json"),
+        "--mode", "single", "--faults", "2", "--mappings", "4",
+        "--seed", "3", "--dump-samples", str(dump))
+    assert code == 0
+    assert {"stdout": sha256(out.encode()), "stderr": sha256(err.encode()),
+            "samples": sha256(dump.read_bytes())} == SIMULATE_PINS
+
+
+def test_report_demo_csv_pinned(capsys):
+    code, out, _ = run(capsys, "report", "--spec-file",
+                       str(REPO / "experiments/nsfnet_demo.json"),
+                       "--format", "csv")
+    assert code == 0
+    assert sha256(out.encode()) == REPORT_DEMO_CSV_PIN
 
 
 def test_report_format_outside_formats_exits_2(capsys):

@@ -235,3 +235,30 @@ def test_evaluate_matches_plan_union_on_routed_walks(r):
     assert any(len(set(c.sequence)) < c.length for p in plans for c in p)
     for cycles in plans:
         assert_evaluate_matches_plan_union(g.n, cycles, scenarios)
+
+
+@pytest.mark.parametrize("mapping", [0, 1])
+def test_evaluate_matches_plan_union_on_chinese_plans(mapping):
+    # 54 cycles of about 20 links: failed links that share a cycle, and
+    # cycles no failed link touches, come in every mix, as they do at scale
+    g = bundled_topology("chinese")
+    qs = generate_quorums(bundled_base(g.n, 1))
+    cycles = route_all(g, qs, generate_mappings(g.n, 2, seed=5)[mapping])
+    # every link of this network lies on some cycle, so the link on no
+    # cycle joins two nodes the network does not link
+    off_cycle = next((1, w) for w in range(2, g.n + 1) if w not in g.adjacency[1])
+    rng = random.Random(20261018 + mapping)
+    scenarios = []
+    for i in range(300):
+        links = rng.sample(g.edges, rng.randrange(1, 4))
+        if i % 4 == 1:
+            links.append(links[0])
+        if i % 5 == 2:
+            links[-1] = links[-1][::-1]
+        if i % 7 == 3:
+            links[rng.randrange(len(links))] = off_cycle
+        scenarios.append(tuple(links))
+    failed = [{tuple(sorted(e)) for e in s} for s in scenarios]
+    shared = sum(any(len(c.edges & f) >= 2 for c in cycles) for f in failed)
+    assert shared >= 50, shared
+    assert_evaluate_matches_plan_union(g.n, cycles, scenarios)

@@ -197,6 +197,55 @@ def test_insert_matches_scan_of_every_position():
     assert min(outcomes.values()) >= 20, outcomes
 
 
+def test_insert_memo_answers_as_a_fresh_search(monkeypatch):
+    # one memo across limits in any order, and across both directions of
+    # one cycle, must give what a call with a fresh memo gives
+    detours = 0
+    original = routing._detour
+
+    def counting(*args, **kwargs):
+        nonlocal detours
+        detours += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(routing, "_detour", counting)
+
+    def inserted(*args, **kwargs):
+        try:
+            route = insert_missing(*args, **kwargs)
+        except InsertionInfeasibleError:
+            return "infeasible"
+        return route and route.sequence
+
+    rng = random.Random(20261020)
+    outcomes = {"cycle": 0, "none": 0}
+    shared = fresh = 0
+    for _ in range(80):
+        n = rng.randrange(5, 15)
+        g = graph(n, random_connected_graph(rng, n, rng.randrange(0, n)))
+        cset = frozenset(rng.sample(range(1, n + 1), rng.randrange(2, min(n, 5) + 1)))
+        try:
+            cycle = close_cycle(g, ratio_bfs(g, min(cset), cset), cset)
+        except NoReturnPathError:
+            continue
+        back = CycleRoute(sequence=cycle.sequence[::-1], hub=cycle.hub)
+        for v in sorted(set(g.nodes) - cycle.nodes):
+            memo = {}
+            limits = [None] + list(range(cycle.length, cycle.length + 8))
+            calls = [(route, limit) for route in (cycle, back) for limit in limits]
+            rng.shuffle(calls)
+            for route, limit in calls:
+                before = detours
+                want = inserted(g, route, v, cset, limit=limit)
+                fresh += detours - before
+                before = detours
+                assert inserted(g, route, v, cset, limit=limit, memo=memo) == want
+                shared += detours - before
+                outcomes["none" if want is None else "cycle"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+    assert 3 * shared < fresh, (shared, fresh)
+
+
 def test_tree_legs_and_detours_match_oracle():
     # insert_missing derives both greedy legs at a link position from one
     # BFS off the cycle and re-searches only when they share a link; legs
@@ -484,6 +533,24 @@ def test_bfs_calls_capped(monkeypatch):
     route_all(g, generate_quorums(bundled_base(g.n, 1)), NodeMapping.identity(g.n))
     # 15,180 calls with tree-derived legs, 26,670 with four searches per detour
     assert calls <= 16000, calls
+
+
+def test_off_cycle_trees_capped(monkeypatch):
+    # route_cycle shares each (cycle links, member) tree and its detours
+    # across its finishes, since different seeds often close the same cycle
+    calls = 0
+    original = routing._off_cycle_legs
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(routing, "_off_cycle_legs", counting)
+    g = bundled_topology("chinese")
+    route_all(g, generate_quorums(bundled_base(g.n, 1)), NodeMapping.identity(g.n))
+    # 1,215 trees with the memo, 1,884 with one per insert_missing call
+    assert calls <= 1300, calls
 
 
 @pytest.fixture(scope="module")
