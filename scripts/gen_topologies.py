@@ -5,8 +5,9 @@ The four reference networks are reconstructions of commonly used
 backbone graphs at the published node/link scales (14/22, 20/31,
 24/43, 54/103).  The 54-node graph is a ring with seeded chords so the
 generator, not a hand-typed list, is the source of truth for it.
-Every file must come out connected and bridge-free, since bridges make
-cycle routing infeasible for quorums spanning the cut.
+Every network must come out connected and bridge-free, since bridges
+make cycle routing infeasible for quorums spanning the cut; nothing is
+written unless all of them pass.
 """
 
 from __future__ import annotations
@@ -74,12 +75,18 @@ EXPECTED_LINKS = {"nsfnet": 22, "arpanet": 31, "american": 43, "chinese": 103}
 
 def main():
     out_dir = Path(__file__).resolve().parents[1] / "src" / "quorumcycles" / "data"
-    out_dir.mkdir(parents=True, exist_ok=True)
+    topologies = {}
     for name, (n, edges) in NETWORKS.items():
         t = Topology(n=n, edges=tuple(edges))
-        assert len(t.edges) == EXPECTED_LINKS[name], (name, len(t.edges))
+        if len(t.edges) != EXPECTED_LINKS[name]:
+            sys.exit(f"{name} has {len(t.edges)} links, expected "
+                     f"{EXPECTED_LINKS[name]}; nothing written")
         bridges = find_bridges(t)
-        assert not bridges, f"{name} has bridges: {sorted(bridges)}"
+        if bridges:
+            sys.exit(f"{name} has bridges: {sorted(bridges)}; nothing written")
+        topologies[name] = t
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, t in topologies.items():
         path = out_dir / f"{name}.txt"
         path.write_text(serialize_topology(t), encoding="utf-8")
         degs = [t.degree(v) for v in t.nodes]

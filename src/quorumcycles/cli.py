@@ -149,7 +149,16 @@ def _cmd_report(args) -> int:
     rows = []
     for spec in report.load_experiment_spec(args.spec_file):
         rows.extend(report.run_experiment(spec))
-    sys.stdout.write(report.emit(rows, args.format))
+    text = report.emit(rows, args.format)
+    # UTF-8 whatever the locale, as specs are read; a text-only stream
+    # (io.StringIO under contextlib.redirect_stdout) takes the str as is
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        sys.stdout.flush()
+        out.write(text.encode("utf-8"))
+        out.flush()
     return 0
 
 

@@ -133,6 +133,10 @@ def load_experiment_spec(path: str | Path) -> list[ExperimentSpec]:
     path = Path(path)
     raw = json.loads(path.read_text(encoding="utf-8"))
     if isinstance(raw, dict) and "experiments" in raw:
+        # a grid-wide "seed" or "mappings" here would otherwise be ignored
+        unknown = sorted(raw.keys() - {"experiments"})
+        if unknown:
+            raise ValueError(f"unknown spec file field(s): {', '.join(unknown)}")
         entries = raw["experiments"]
         if not isinstance(entries, list):
             raise ValueError(f"experiments must be a list, got {entries!r}")

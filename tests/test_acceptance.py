@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,6 @@ import pytest
 from quorumcycles import (
     CycleRoute,
     DeploymentPlan,
-    ExperimentSpec,
     FaultModel,
     NodeMapping,
     QuorumBase,
@@ -31,7 +31,9 @@ from quorumcycles import (
     enumerate_faults,
     generate_quorums,
     is_r_redundant,
+    load_experiment_spec,
     missing_pairs,
+    parse_rows_csv,
     route_all,
     route_cycle,
     run_experiment,
@@ -51,7 +53,9 @@ from oracles import (
 
 SEED = 20250815
 NETWORKS = ("nsfnet", "arpanet", "american", "chinese")
-DESK_TABLE = Path(__file__).resolve().parents[1] / "experiments" / "tables_desk.csv"
+EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
+DESK_SPEC = EXPERIMENTS / "desk.json"
+DESK_TABLE = EXPERIMENTS / "tables_desk.csv"
 
 
 def note(num: int, text: str):
@@ -72,11 +76,8 @@ def khat_table():
 
 @pytest.fixture(scope="module")
 def nsfnet_rows():
-    """One full NSFNET experiment shared by the table criteria."""
-    spec = ExperimentSpec(
-        network="nsfnet", topology="nsfnet", r_values=(1, 2, 3),
-        modes=(TrailMode.PAIRED, TrailMode.SINGLE), fault_orders=(1, 2),
-        mapping_count=100, seed=SEED)
+    """The desk grid's NSFNET experiment, shared by the table criteria."""
+    (spec,) = [s for s in load_experiment_spec(DESK_SPEC) if s.network == "nsfnet"]
     started = time.monotonic()
     rows = run_experiment(spec)
     elapsed = time.monotonic() - started
@@ -249,13 +250,37 @@ def test_criterion_7_fault_coverage_bands(nsfnet_rows):
 
 
 def test_desk_table_holds_current_nsfnet_rows(nsfnet_rows):
-    # the fixture runs the desk script's nsfnet spec, so the committed
-    # artifact cannot go stale without this failing
+    # the fixture runs the nsfnet entry of experiments/desk.json, so the
+    # committed artifact cannot go stale without this failing
     cells, _ = nsfnet_rows
     emitted = emit(list(cells.values()), "csv").split("\n", 1)[1]
     committed = "".join(line for line in DESK_TABLE.read_text().splitlines(True)
                         if line.startswith("nsfnet,"))
     assert emitted == committed
+
+
+def test_desk_table_is_exactly_the_desk_grid():
+    # reads only the committed csv: every cell the grid implies, in
+    # desk.json order and no other, each counting every mapping once
+    specs = load_experiment_spec(DESK_SPEC)
+    assert [s.network for s in specs] == list(NETWORKS)
+    want = [(s.network, r, mode.value, metric, order)
+            for s in specs for r in s.r_values for mode in s.modes
+            for metric, order in [("links", 0), ("missing", 0), ("missing_pct", 0)]
+            + [("coverage", o) for o in s.fault_orders]]
+    rows = parse_rows_csv(DESK_TABLE.read_text(encoding="utf-8"))
+    assert [(row.network, row.r, row.mode, row.metric, row.fault_order)
+            for row in rows] == want
+    mappings = {s.network: s.mapping_count for s in specs}
+    for row in rows:
+        assert row.n + row.excluded == mappings[row.network], row
+
+
+def test_full_spec_scales_only_mappings_and_fault_orders():
+    desk = load_experiment_spec(DESK_SPEC)
+    full = load_experiment_spec(EXPERIMENTS / "full.json")
+    assert full == [replace(s, mapping_count=1000, fault_orders=(1, 2))
+                    for s in desk]
 
 
 def test_criterion_8_structural_fault_properties():

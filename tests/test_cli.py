@@ -399,8 +399,8 @@ def test_report_rejects_single_mapping(capsys, tmp_path, monkeypatch):
 
 
 def test_report_reads_spec_as_utf8_under_ascii_locale(tmp_path):
-    # topologies and bases are read as UTF-8 whatever the locale, and so
-    # is the spec; stdout is made UTF-8 so only the spec read is tested
+    # topologies, bases and the spec are read, and the rows written, as
+    # UTF-8 whatever the locale; PYTHONIOENCODING must not be needed
     import os
     import subprocess
     import sys
@@ -409,15 +409,16 @@ def test_report_reads_spec_as_utf8_under_ascii_locale(tmp_path):
         "network": "nsfnet-Zürich", "topology": "nsfnet", "r": [1],
         "modes": ["single"], "fault_orders": [1], "mappings": 2, "seed": 0,
     }, ensure_ascii=False), encoding="utf-8")
-    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
-               PYTHONIOENCODING="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "quorumcycles", "report",
-         "--spec-file", str(spec), "--format", "csv"],
-        capture_output=True, env=env)
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    rows = parse_rows_csv(proc.stdout.decode("utf-8"))
-    assert {row.network for row in rows} == {"nsfnet-Zürich"}
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
+    env.pop("PYTHONIOENCODING", None)
+    for extra in ({}, {"PYTHONIOENCODING": "utf-8"}):
+        proc = subprocess.run(
+            [sys.executable, "-m", "quorumcycles", "report",
+             "--spec-file", str(spec), "--format", "csv"],
+            capture_output=True, env={**env, **extra})
+        assert (proc.returncode, proc.stderr) == (0, b""), extra
+        rows = parse_rows_csv(proc.stdout.decode("utf-8"))
+        assert {row.network for row in rows} == {"nsfnet-Zürich"}, extra
 
 
 # sha256 of the outputs every speedup must leave byte for byte unchanged

@@ -210,6 +210,9 @@ def test_load_spec_names_malformed_field(tmp_path, override, message):
     ({"experiments": [1]}, "experiment spec must be an object, got 1"),
     ({"experiments": {"topology": "nsfnet"}}, "experiments must be a list"),
     ({"experiments": []}, "experiments list is empty"),
+    ({"experiments": [{"topology": "nsfnet", "r": 1, "mappings": 4, "seed": 0}],
+      "seed": 99, "mappings": 500},
+     "unknown spec file field(s): mappings, seed"),
 ])
 def test_load_spec_rejects_non_object_entries(tmp_path, payload, message):
     p = tmp_path / "s.json"
