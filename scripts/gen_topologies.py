@@ -6,8 +6,11 @@ backbone graphs at the published node/link scales (14/22, 20/31,
 24/43, 54/103).  The 54-node graph is a ring with seeded chords so the
 generator, not a hand-typed list, is the source of truth for it.
 Every network must come out connected and bridge-free, since bridges
-make cycle routing infeasible for quorums spanning the cut; nothing is
-written unless all of them pass.
+make cycle routing infeasible for quorums spanning the cut.  Each
+network's text is read back with parse_topology, which refuses
+out-of-range nodes, self-loops, duplicate links and disconnected
+graphs, before anything is checked further; nothing is written unless
+all of them pass.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from quorumcycles.topology import Topology, find_bridges, serialize_topology
+from quorumcycles.topology import (Topology, TopologyError, find_bridges,
+                                   parse_topology, serialize_topology)
 
 NSFNET = [
     (1, 2), (1, 3), (1, 8), (2, 3), (2, 4), (3, 6), (4, 5), (4, 11),
@@ -77,18 +81,23 @@ def main():
     out_dir = Path(__file__).resolve().parents[1] / "src" / "quorumcycles" / "data"
     topologies = {}
     for name, (n, edges) in NETWORKS.items():
-        t = Topology(n=n, edges=tuple(edges))
+        # written in generation order, as always; parsed as it will be read
+        text = serialize_topology(Topology(n=n, edges=tuple(edges)))
+        try:
+            t = parse_topology(text)
+        except TopologyError as exc:
+            sys.exit(f"{name}: {exc}; nothing written")
         if len(t.edges) != EXPECTED_LINKS[name]:
             sys.exit(f"{name} has {len(t.edges)} links, expected "
                      f"{EXPECTED_LINKS[name]}; nothing written")
         bridges = find_bridges(t)
         if bridges:
             sys.exit(f"{name} has bridges: {sorted(bridges)}; nothing written")
-        topologies[name] = t
+        topologies[name] = (t, text)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, t in topologies.items():
+    for name, (t, text) in topologies.items():
         path = out_dir / f"{name}.txt"
-        path.write_text(serialize_topology(t), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         degs = [t.degree(v) for v in t.nodes]
         print(f"{name}: n={t.n} links={len(t.edges)} "
               f"deg[{min(degs)}..{max(degs)}] bridge-free -> {path.name}")

@@ -19,9 +19,8 @@ from .quorums import (InfeasibleRedundancyError, PairCoverage, QuorumBase,
 from .routing import (CycleRoute, InsertionInfeasibleError, NoReturnPathError,
                       RoutingError, RoutingInfeasibleError, close_cycle,
                       insert_missing, ratio_bfs, route_all, route_cycle)
-from .lighttrail import (DeploymentPlan, FaultModel, MissingPairs, ServedPairs,
-                         TrailMode, links_used, missing_pairs,
-                         served_pairs_cycle, served_pairs_plan)
+from .lighttrail import (DeploymentPlan, FaultModel, TrailMode, links_used,
+                         missing_pairs, served_pairs_plan)
 from .faultsim import enumerate_faults, evaluate
 from .report import (CISummary, ExperimentError, ExperimentSpec,
                      InsufficientSamplesError, ResultRow, emit,
@@ -33,10 +32,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BUNDLED", "CISummary", "CycleRoute", "DeploymentPlan", "ExperimentError",
     "ExperimentSpec", "FaultModel", "InfeasibleRedundancyError",
-    "InsertionInfeasibleError", "InsufficientSamplesError", "MissingPairs",
+    "InsertionInfeasibleError", "InsufficientSamplesError",
     "NoReturnPathError", "NodeMapping", "PairCoverage", "QuorumBase",
     "QuorumSet", "ResultRow", "RoutingError", "RoutingInfeasibleError",
-    "SearchBudget", "SearchBudgetExhausted", "SearchResult", "ServedPairs",
+    "SearchBudget", "SearchBudgetExhausted", "SearchResult",
     "Topology", "TopologyError", "TrailMode", "VerificationReport",
     "bundled_base", "bundled_topology", "close_cycle", "difference_counts",
     "emit", "enumerate_faults", "evaluate", "find_bridges",
@@ -45,6 +44,6 @@ __all__ = [
     "load_topology", "mean_ci", "missing_pairs", "pair_coverage",
     "parse_rows_csv", "parse_topology", "ratio_bfs", "relabel", "route_all",
     "route_cycle", "run_experiment", "save_base", "search_min_base",
-    "serialize_topology", "served_pairs_cycle", "served_pairs_plan",
+    "serialize_topology", "served_pairs_plan",
     "topology_to_json", "verify_quorum_set",
 ]

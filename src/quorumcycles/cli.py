@@ -83,11 +83,10 @@ def _cmd_route(args) -> int:
     mapping = _mapping_for(args, g.n)
     cycles = route_all(g, generate_quorums(base), mapping)
     total = 0
-    for cycle in cycles:
+    for i, cycle in enumerate(cycles, start=1):
         total += cycle.length
         seq = "-".join(map(str, cycle.sequence))
-        print(f"quorum {cycle.quorum_index}: hub={cycle.hub} "
-              f"len={cycle.length} {seq}")
+        print(f"quorum {i}: hub={cycle.hub} len={cycle.length} {seq}")
     print(f"cycles: {len(cycles)}  total edges: {total}")
     return 0
 

@@ -52,34 +52,15 @@ class DeploymentPlan:
                     raise ValueError(f"cycle node {v} out of range 1..{self.n}")
 
 
-@dataclass(frozen=True)
-class ServedPairs:
-    """Ordered node pairs reachable through a plan, packed as a bitset."""
-
-    n: int
-    bits: int
-
-    @property
-    def count(self) -> int:
-        return self.bits.bit_count()
-
-    @property
-    def total(self) -> int:
-        return self.n * (self.n - 1)
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        a, b = pair
-        return bool(self.bits >> ((a - 1) * self.n + (b - 1)) & 1)
-
-    def pairs(self) -> frozenset[tuple[int, int]]:
-        n, bits = self.n, self.bits
-        out = set()
-        while bits:
-            low = bits & -bits
-            idx = low.bit_length() - 1
-            out.add((idx // n + 1, idx % n + 1))
-            bits ^= low
-        return frozenset(out)
+def _pairs(bits: int, n: int) -> frozenset[tuple[int, int]]:
+    """The ordered pairs a bitset holds; (a, b) is bit (a - 1) * n + (b - 1)."""
+    out = set()
+    while bits:
+        low = bits & -bits
+        idx = low.bit_length() - 1
+        out.add((idx // n + 1, idx % n + 1))
+        bits ^= low
+    return frozenset(out)
 
 
 def _run_bits(nodes: tuple[int, ...], n: int, to_new: bool,
@@ -186,18 +167,10 @@ def served_bits(plan: DeploymentPlan, failed_sets: Iterable[Iterable[Edge]],
 
 
 def served_pairs_plan(plan: DeploymentPlan, failed_edges=(),
-                      fault_model: FaultModel = FaultModel.TRUNCATED) -> ServedPairs:
-    """Union of served pairs over all cycles in the plan."""
-    return ServedPairs(n=plan.n,
-                       bits=next(served_bits(plan, [failed_edges], fault_model)))
-
-
-def served_pairs_cycle(cycle: CycleRoute, mode: TrailMode, n: int,
-                       failed_edges=(),
-                       fault_model: FaultModel = FaultModel.TRUNCATED) -> ServedPairs:
-    """Ordered pairs served by one cycle's trails under the given faults."""
-    plan = DeploymentPlan(n=n, mode=mode, cycles=(cycle,))
-    return served_pairs_plan(plan, failed_edges, fault_model)
+                      fault_model: FaultModel = FaultModel.TRUNCATED
+                      ) -> frozenset[tuple[int, int]]:
+    """Ordered pairs some trail of the plan serves under the failed links."""
+    return _pairs(next(served_bits(plan, [failed_edges], fault_model)), plan.n)
 
 
 def links_used(plan: DeploymentPlan) -> int:
@@ -206,23 +179,9 @@ def links_used(plan: DeploymentPlan) -> int:
     return per_orientation * (2 if plan.mode is TrailMode.PAIRED else 1)
 
 
-@dataclass(frozen=True)
-class MissingPairs:
-    """Fault-free service gaps of a plan."""
-
-    count: int
-    percent: float
-    total: int
-    pairs: tuple[tuple[int, int], ...]
-
-
-def missing_pairs(plan: DeploymentPlan) -> MissingPairs:
+def missing_pairs(plan: DeploymentPlan) -> frozenset[tuple[int, int]]:
     """Ordered pairs no trail serves even with every link healthy."""
     n = plan.n
     diagonal = sum(1 << a * (n + 1) for a in range(n))
     all_pairs = ((1 << n * n) - 1) ^ diagonal
-    gaps = ServedPairs(n=n, bits=all_pairs & ~served_pairs_plan(plan).bits)
-    total = gaps.total
-    percent = 100.0 * gaps.count / total if total else 0.0
-    return MissingPairs(count=gaps.count, percent=percent, total=total,
-                        pairs=tuple(sorted(gaps.pairs())))
+    return _pairs(all_pairs & ~next(served_bits(plan, [()])), n)

@@ -90,6 +90,9 @@ class ExperimentSpec:
             raise ValueError(f"r values must be positive ints: {self.r_values}")
         if not self.modes:
             raise ValueError("at least one trail mode is required")
+        # coerced now: a bad plain string would otherwise fail after routing
+        object.__setattr__(self, "modes", tuple(map(TrailMode, self.modes)))
+        object.__setattr__(self, "fault_model", FaultModel(self.fault_model))
         if any(type(o) is not int or o not in (1, 2) for o in self.fault_orders):
             raise ValueError(f"fault orders must be ints 1 or 2: {self.fault_orders}")
         # every cell is a 95% interval, which needs two samples
@@ -190,11 +193,11 @@ def _spec_from_dict(d: object, base_dir: Path) -> ExperimentSpec:
         network=field("network", str, topology),
         topology=resolve(topology),
         r_values=tuple(r_raw) if isinstance(r_raw, list) else (r_raw,),
-        modes=tuple(TrailMode(m) for m in field("modes", list, ["paired"])),
+        modes=tuple(field("modes", list, ["paired"])),
         fault_orders=tuple(field("fault_orders", list, [1])),
         mapping_count=field("mappings"),
         seed=field("seed"),
-        fault_model=FaultModel(d.get("fault_model", "truncated")),
+        fault_model=d.get("fault_model", FaultModel.TRUNCATED),
         base_files=tuple(sorted((int(r), resolve(p)) for r, p in bases.items())),
     )
 
@@ -271,9 +274,9 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                     n=ci.n, excluded=excluded))
 
             add("links", 0, [float(links_used(p)) for p in plans])
-            gaps = [missing_pairs(p) for p in plans]
-            add("missing", 0, [float(mp.count) for mp in gaps])
-            add("missing_pct", 0, [mp.percent for mp in gaps])
+            gaps = [len(missing_pairs(p)) for p in plans]
+            add("missing", 0, [float(count) for count in gaps])
+            add("missing_pct", 0, [100.0 * count / total_pairs for count in gaps])
             for order, scenarios in scenario_sets.items():
                 add("coverage", order, [
                     100.0 * sum(evaluate(p, scenarios, spec.fault_model))

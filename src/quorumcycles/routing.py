@@ -26,7 +26,7 @@ node sequence) so routing is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .quorums import QuorumSet
 from .topology import NodeMapping, Topology, canonical_edge, find_bridges, relabel
@@ -74,8 +74,6 @@ class CycleRoute:
     """Closed edge-distinct walk; starts and ends at its trail hub."""
 
     sequence: tuple[int, ...]
-    hub: int
-    quorum_index: int | None = None
 
     def __post_init__(self):
         seq = self.sequence
@@ -83,11 +81,13 @@ class CycleRoute:
             raise ValueError(f"cycle needs at least 3 edges, got {list(seq)}")
         if seq[0] != seq[-1]:
             raise ValueError("cycle sequence must return to its start")
-        if seq[0] != self.hub:
-            raise ValueError(f"cycle must start at its hub {self.hub}, got {seq[0]}")
         edges = list(_walk_edges(seq))
         if len(set(edges)) != len(edges):
             raise ValueError(f"cycle reuses an edge: {list(seq)}")
+
+    @property
+    def hub(self) -> int:
+        return self.sequence[0]
 
     @property
     def length(self) -> int:
@@ -220,7 +220,7 @@ def close_cycle(g: Topology, path: tuple[int, ...],
         if limit is not None:
             return None
         raise NoReturnPathError(tuple(path))
-    return CycleRoute(sequence=tuple(path) + ret[1][1:], hub=start)
+    return CycleRoute(tuple(path) + ret[1][1:])
 
 
 def _leg_key(entry: tuple[int, tuple[int, ...], int]) -> tuple:
@@ -399,7 +399,7 @@ def insert_missing(g: Topology, route: CycleRoute, v: int,
     if det is None:
         return None
     new_seq = seq[: pos + 1] + det[1:] + seq[pos + 2:]
-    return replace(route, sequence=new_seq)
+    return CycleRoute(new_seq)
 
 
 def _rotate_to(seq: tuple[int, ...], hub: int) -> tuple[int, ...]:
@@ -532,7 +532,7 @@ def route_cycle(g: Topology, c: frozenset[int] | set[int],
             if best is None or cand < best:
                 best = cand
     if best is not None:
-        return CycleRoute(sequence=best[1], hub=hub)
+        return CycleRoute(best[1])
 
     cut = _separating_bridges(g, cset)
     detail = f"; bridges separating the set: {cut}" if cut else ""
@@ -546,7 +546,8 @@ def route_all(g: Topology, qs: QuorumSet, m: NodeMapping) -> tuple[CycleRoute, .
     """Route every quorum under a node relabeling.
 
     The cycle for quorum i gets hub m(i).  All failures are collected and
-    raised together so a caller can report or exclude the whole mapping.
+    raised together so a caller can report or exclude the whole mapping;
+    a result thus holds every quorum's cycle, quorum i's at index i - 1.
     """
     if qs.n != g.n or m.n != g.n:
         raise ValueError(
@@ -557,11 +558,9 @@ def route_all(g: Topology, qs: QuorumSet, m: NodeMapping) -> tuple[CycleRoute, .
     for i, quorum in enumerate(qs.quorums, start=1):
         cset = relabel(quorum, m)
         try:
-            route = route_cycle(g, cset, hub=m.apply(i))
+            routes.append(route_cycle(g, cset, hub=m.apply(i)))
         except RoutingError as exc:
             failures[i] = exc
-            continue
-        routes.append(replace(route, quorum_index=i))
     if failures:
         summary = "; ".join(f"quorum {i}: {err}" for i, err in sorted(failures.items()))
         raise RoutingInfeasibleError(

@@ -207,9 +207,9 @@ def test_criterion_5_paired_plans_serve_everything():
         plan = DeploymentPlan(n=g.n, mode=TrailMode.PAIRED,
                               cycles=tuple(cycles))
         gaps = missing_pairs(plan)
-        assert gaps.count == 0, (name, gaps.pairs[:5])
+        assert len(gaps) == 0, (name, sorted(gaps)[:5])
         served = served_pairs_plan(plan)
-        assert served.count == served.total == g.n * (g.n - 1), name
+        assert len(served) == g.n * (g.n - 1), name
     note(5, "fault-free paired plans serve 100.00% of ordered pairs "
             "on all four bundled networks")
 
@@ -290,8 +290,7 @@ def test_criterion_8_structural_fault_properties():
         cycles = []
         for _ in range(rng.randint(1, 3)):
             nodes = rng.sample(range(1, n + 1), rng.randint(3, n))
-            cycles.append(CycleRoute(sequence=tuple(nodes) + (nodes[0],),
-                                     hub=nodes[0]))
+            cycles.append(CycleRoute(sequence=tuple(nodes) + (nodes[0],)))
         plans = {mode: DeploymentPlan(n=n, mode=mode, cycles=tuple(cycles))
                  for mode in TrailMode}
         edges = sorted({e for c in cycles for e in c.edges})
@@ -301,14 +300,14 @@ def test_criterion_8_structural_fault_properties():
 
         small = served_pairs_plan(plans[TrailMode.PAIRED], failed_edges=fewer)
         large = served_pairs_plan(plans[TrailMode.PAIRED], failed_edges=extra)
-        assert large.bits & ~small.bits == 0, case
+        assert large <= small, case
 
         s = served_pairs_plan(plans[TrailMode.SINGLE], failed_edges=fewer)
-        assert s.bits & ~small.bits == 0, case
+        assert s <= small, case
 
         whole = served_pairs_plan(plans[TrailMode.PAIRED], failed_edges=fewer,
                                   fault_model=FaultModel.WHOLE_CYCLE)
-        assert whole.bits & ~small.bits == 0, case
+        assert whole <= small, case
 
         graph = Topology(
             n=n, edges=tuple(random_connected_graph(rng, n, rng.randint(0, 3))))

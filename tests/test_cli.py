@@ -429,6 +429,13 @@ SIMULATE_PINS = {
 }
 REPORT_DEMO_CSV_PIN = (
     "a61b2147f1ec586a88a1384b449d10bda42029efbd6439b69bcb7c53020e56cd")
+# `route` stdout: quorum numbers, hubs, lengths and every cycle's walk
+ROUTE_PINS = {
+    ("nsfnet", "n14_r3.json", "5"):
+        "22ac22ead1f215c16d8638b87e2084de7211a0c8d2b09949fc4f9d942d93b76f",
+    ("chinese", "n54_r1.json", None):
+        "73b9706b9b511b254c03073702e049423142c855b1448eea20f815e32aedae9b",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -445,6 +452,17 @@ def test_simulate_nsfnet_outputs_pinned(capsys, tmp_path):
     assert code == 0
     assert {"stdout": sha256(out.encode()), "stderr": sha256(err.encode()),
             "samples": sha256(dump.read_bytes())} == SIMULATE_PINS
+
+
+@pytest.mark.parametrize("network,base,seed", list(ROUTE_PINS))
+def test_route_stdout_pinned(capsys, network, base, seed):
+    argv = ["route", "--topology", network, "--base-file",
+            str(REPO / "src/quorumcycles/data/bases" / base)]
+    if seed is not None:
+        argv += ["--mapping-seed", seed]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert sha256(out.encode()) == ROUTE_PINS[network, base, seed]
 
 
 def test_report_demo_csv_pinned(capsys):

@@ -26,7 +26,7 @@ from oracles import plan_served_pairs
 
 TRI_PLAN = DeploymentPlan(
     n=3, mode=TrailMode.PAIRED,
-    cycles=(CycleRoute(sequence=(1, 2, 3, 1), hub=1),))
+    cycles=(CycleRoute(sequence=(1, 2, 3, 1)),))
 
 
 # --------------------------------------------------------------- scenarios
@@ -64,8 +64,8 @@ def served(plan, *edges, fault_model=FaultModel.TRUNCATED):
 def test_evaluate_accepts_links_either_way_round():
     plan = DeploymentPlan(
         n=4, mode=TrailMode.SINGLE,
-        cycles=(CycleRoute(sequence=(1, 2, 3, 4, 1), hub=1),
-                CycleRoute(sequence=(1, 3, 2, 1), hub=1)))
+        cycles=(CycleRoute(sequence=(1, 2, 3, 4, 1)),
+                CycleRoute(sequence=(1, 3, 2, 1))))
     for model in FaultModel:
         assert served(plan, (3, 1), (2, 1), fault_model=model) == \
             served(plan, (1, 2), (1, 3), fault_model=model)
@@ -150,8 +150,7 @@ def ring_plan_case(draw):
     cycles = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         nodes = rng.sample(range(1, n + 1), rng.randint(3, n))
-        cycles.append(CycleRoute(sequence=tuple(nodes) + (nodes[0],),
-                                 hub=nodes[0]))
+        cycles.append(CycleRoute(sequence=tuple(nodes) + (nodes[0],)))
     edges = sorted({e for c in cycles for e in c.edges})
     return n, cycles, edges, rng
 

@@ -9,113 +9,112 @@ from quorumcycles import (
     CycleRoute,
     DeploymentPlan,
     FaultModel,
-    ServedPairs,
     TrailMode,
     links_used,
     missing_pairs,
-    served_pairs_cycle,
     served_pairs_plan,
 )
 
 from oracles import plan_served_pairs, trail_served_pairs
 
 
-SQUARE = CycleRoute(sequence=(1, 2, 3, 4, 1), hub=1)
-TRIANGLE = CycleRoute(sequence=(1, 2, 3, 1), hub=1)
+SQUARE = CycleRoute(sequence=(1, 2, 3, 4, 1))
+TRIANGLE = CycleRoute(sequence=(1, 2, 3, 1))
 
 
 def plan(mode, *cycles, n=4):
     return DeploymentPlan(n=n, mode=mode, cycles=tuple(cycles))
 
 
-# ---------------------------------------------------------------- ServedPairs
+# ---------------------------------------------------------------- served pairs
 
 def test_served_pairs_empty():
-    sp = ServedPairs(n=5, bits=0)
-    assert sp.count == 0
-    assert sp.total == 20
-    assert sp.pairs() == frozenset()
+    empty = plan(TrailMode.SINGLE, n=5)
+    sp = served_pairs_plan(empty)
+    assert len(sp) == 0
+    assert len(missing_pairs(empty)) == 5 * 4
+    assert sp == frozenset()
     assert (1, 2) not in sp
 
 
 def test_served_pairs_contains_and_pairs():
-    sp = served_pairs_cycle(SQUARE, TrailMode.SINGLE, 4)
+    sp = served_pairs_plan(plan(TrailMode.SINGLE, SQUARE))
     assert (1, 2) in sp
     assert (4, 1) in sp
     assert (3, 2) not in sp
-    assert sp.pairs() == {
+    assert sp == {
         (1, 2), (1, 3), (1, 4),
         (2, 3), (2, 4), (2, 1),
         (3, 4), (3, 1),
         (4, 1),
     }
-    assert sp.count == 9
+    assert len(sp) == 9
 
 
 # ------------------------------------------------------------- fault-free
 
 def test_square_single_fault_free():
-    sp = served_pairs_cycle(SQUARE, TrailMode.SINGLE, 4)
-    assert sp.count == 9
+    sp = served_pairs_plan(plan(TrailMode.SINGLE, SQUARE))
+    assert len(sp) == 9
     # the downstream-only gaps of a one-way ring trail
     missing = {(3, 2), (4, 2), (4, 3)}
     assert {(a, b) for a in range(1, 5) for b in range(1, 5)
-            if a != b} - sp.pairs() == missing
+            if a != b} - sp == missing
 
 
 def test_square_paired_fault_free():
-    sp = served_pairs_cycle(SQUARE, TrailMode.PAIRED, 4)
-    assert sp.count == 12
-    assert sp.count == sp.total
+    sp = served_pairs_plan(plan(TrailMode.PAIRED, SQUARE))
+    assert len(sp) == 12
+    assert len(sp) == 4 * 3
 
 
 def test_triangle_single_fault_free():
-    sp = served_pairs_cycle(TRIANGLE, TrailMode.SINGLE, 3)
-    assert sp.pairs() == {(1, 2), (1, 3), (2, 3), (2, 1), (3, 1)}
+    sp = served_pairs_plan(plan(TrailMode.SINGLE, TRIANGLE, n=3))
+    assert sp == {(1, 2), (1, 3), (2, 3), (2, 1), (3, 1)}
 
 
 # ------------------------------------------------------------- with faults
 
 def test_square_paired_cut_far_edge():
-    sp = served_pairs_cycle(SQUARE, TrailMode.PAIRED, 4,
-                            failed_edges=[(2, 3)])
-    assert sp.count == 8
+    sp = served_pairs_plan(plan(TrailMode.PAIRED, SQUARE),
+                           failed_edges=[(2, 3)])
+    assert len(sp) == 8
     lost = {(2, 3), (3, 2), (2, 4), (4, 2)}
-    assert sp.pairs() == {(a, b) for a in range(1, 5)
-                          for b in range(1, 5) if a != b} - lost
+    assert sp == {(a, b) for a in range(1, 5)
+                  for b in range(1, 5) if a != b} - lost
 
 
 def test_triangle_paired_cut_opposite_edge():
-    sp = served_pairs_cycle(TRIANGLE, TrailMode.PAIRED, 3,
-                            failed_edges=[(2, 3)])
-    assert sp.pairs() == {(1, 2), (2, 1), (1, 3), (3, 1)}
+    sp = served_pairs_plan(plan(TrailMode.PAIRED, TRIANGLE, n=3),
+                           failed_edges=[(2, 3)])
+    assert sp == {(1, 2), (2, 1), (1, 3), (3, 1)}
 
 
 def test_triangle_paired_cut_hub_edge():
     # a break next to the hub still leaves the long way round in each direction
     for edge in [(1, 2), (1, 3)]:
-        sp = served_pairs_cycle(TRIANGLE, TrailMode.PAIRED, 3,
-                                failed_edges=[edge])
-        assert sp.count == 6
+        sp = served_pairs_plan(plan(TrailMode.PAIRED, TRIANGLE, n=3),
+                               failed_edges=[edge])
+        assert len(sp) == 6
 
 
 def test_failed_edge_order_irrelevant():
-    a = served_pairs_cycle(SQUARE, TrailMode.PAIRED, 4, failed_edges=[(2, 3)])
-    b = served_pairs_cycle(SQUARE, TrailMode.PAIRED, 4, failed_edges=[(3, 2)])
+    a = served_pairs_plan(plan(TrailMode.PAIRED, SQUARE), failed_edges=[(2, 3)])
+    b = served_pairs_plan(plan(TrailMode.PAIRED, SQUARE), failed_edges=[(3, 2)])
     assert a == b
 
 
 def test_off_cycle_fault_is_harmless():
-    sp = served_pairs_cycle(TRIANGLE, TrailMode.SINGLE, 4,
-                            failed_edges=[(1, 4)])
-    assert sp == served_pairs_cycle(TRIANGLE, TrailMode.SINGLE, 4)
+    sp = served_pairs_plan(plan(TrailMode.SINGLE, TRIANGLE, n=4),
+                           failed_edges=[(1, 4)])
+    assert sp == served_pairs_plan(plan(TrailMode.SINGLE, TRIANGLE, n=4))
 
 
 def test_whole_cycle_model_darkens_hit_cycle():
-    sp = served_pairs_cycle(SQUARE, TrailMode.PAIRED, 4,
-                            failed_edges=[(2, 3)],
-                            fault_model=FaultModel.WHOLE_CYCLE)
-    assert sp.count == 0
+    sp = served_pairs_plan(plan(TrailMode.PAIRED, SQUARE),
+                           failed_edges=[(2, 3)],
+                           fault_model=FaultModel.WHOLE_CYCLE)
+    assert len(sp) == 0
 
 
 def test_whole_cycle_model_spares_untouched_cycle():
@@ -123,28 +122,28 @@ def test_whole_cycle_model_spares_untouched_cycle():
     sp = served_pairs_plan(p, failed_edges=[(3, 4)],
                            fault_model=FaultModel.WHOLE_CYCLE)
     # (3,4) is only on the square; the triangle keeps serving
-    assert sp == served_pairs_cycle(TRIANGLE, TrailMode.SINGLE, 4)
+    assert sp == served_pairs_plan(plan(TrailMode.SINGLE, TRIANGLE, n=4))
 
 
 def test_double_fault_isolates_middle():
     # the 2-3 stretch sits between two breaks in both orientations: dark
-    sp = served_pairs_cycle(SQUARE, TrailMode.PAIRED, 4,
-                            failed_edges=[(1, 2), (3, 4)])
-    assert sp.pairs() == {(4, 1), (1, 4)}
+    sp = served_pairs_plan(plan(TrailMode.PAIRED, SQUARE),
+                           failed_edges=[(1, 2), (3, 4)])
+    assert sp == {(4, 1), (1, 4)}
 
 
 # ------------------------------------------------------------- plans
 
 def test_plan_union_of_cycles():
-    rev = CycleRoute(sequence=(1, 4, 3, 2, 1), hub=1)
+    rev = CycleRoute(sequence=(1, 4, 3, 2, 1))
     p = plan(TrailMode.SINGLE, SQUARE, rev)
-    assert served_pairs_plan(p).count == 12
+    assert len(served_pairs_plan(p)) == 12
 
 
 def test_plan_leaves_absent_node_unserved():
     p = plan(TrailMode.PAIRED, TRIANGLE, n=4)
     sp = served_pairs_plan(p)
-    assert sp.count == 6
+    assert len(sp) == 6
     assert all((4, b) not in sp and (b, 4) not in sp for b in (1, 2, 3))
 
 
@@ -152,7 +151,7 @@ def test_plan_rejects_out_of_range_node():
     with pytest.raises(ValueError, match="out of range"):
         plan(TrailMode.SINGLE, SQUARE, n=3)
     with pytest.raises(ValueError, match="out of range"):
-        served_pairs_cycle(TRIANGLE, TrailMode.PAIRED, 2)
+        plan(TrailMode.PAIRED, TRIANGLE, n=2)
     for mode in ("bogus", "PAIRED", None):
         with pytest.raises(ValueError, match="not a valid TrailMode"):
             plan(mode, SQUARE)
@@ -175,25 +174,26 @@ def test_links_used_counts_orientations():
 # ------------------------------------------------------------- gap report
 
 def test_missing_pairs_triangle_single():
-    mp = missing_pairs(plan(TrailMode.SINGLE, TRIANGLE, n=3))
-    assert mp.count == 1
-    assert mp.pairs == ((3, 2),)
-    assert mp.total == 6
-    assert mp.percent == pytest.approx(100 / 6)
+    p = plan(TrailMode.SINGLE, TRIANGLE, n=3)
+    mp = missing_pairs(p)
+    assert len(mp) == 1
+    assert mp == {(3, 2)}
+    assert len(mp) + len(served_pairs_plan(p)) == 3 * 2
+    assert 100.0 * len(mp) / (3 * 2) == pytest.approx(100 / 6)
 
 
 def test_missing_pairs_square_single():
     mp = missing_pairs(plan(TrailMode.SINGLE, SQUARE))
-    assert mp.count == 3
-    assert mp.pairs == ((3, 2), (4, 2), (4, 3))
-    assert mp.percent == pytest.approx(25.0)
+    assert len(mp) == 3
+    assert mp == {(3, 2), (4, 2), (4, 3)}
+    assert 100.0 * len(mp) / (4 * 3) == pytest.approx(25.0)
 
 
 def test_missing_pairs_paired_complete():
     mp = missing_pairs(plan(TrailMode.PAIRED, SQUARE))
-    assert mp.count == 0
-    assert mp.percent == 0.0
-    assert mp.pairs == ()
+    assert len(mp) == 0
+    assert 100.0 * len(mp) / (4 * 3) == 0.0
+    assert mp == frozenset()
 
 
 # ------------------------------------------------------------- properties
@@ -206,8 +206,7 @@ def ring_cycles(draw, n):
     for _ in range(count):
         size = rng.randint(3, n)
         nodes = rng.sample(range(1, n + 1), size)
-        cycles.append(CycleRoute(sequence=tuple(nodes) + (nodes[0],),
-                                 hub=nodes[0]))
+        cycles.append(CycleRoute(sequence=tuple(nodes) + (nodes[0],)))
     return cycles
 
 
@@ -232,18 +231,17 @@ def test_matches_fragment_oracle(case):
         want = plan_served_pairs([c.sequence for c in cycles],
                                  paired=mode is TrailMode.PAIRED,
                                  failed_edges=failed)
-        assert got.pairs() == want
+        assert got == want
         clean = plan_served_pairs([c.sequence for c in cycles],
                                   paired=mode is TrailMode.PAIRED,
                                   failed_edges=())
-        gaps = sorted((a, b) for a in range(1, n + 1)
-                      for b in range(1, n + 1)
-                      if a != b and (a, b) not in clean)
+        gaps = {(a, b) for a in range(1, n + 1)
+                for b in range(1, n + 1)
+                if a != b and (a, b) not in clean}
         mp = missing_pairs(p)
-        assert mp.pairs == tuple(gaps)
-        assert mp.count == len(gaps)
-        assert mp.total == n * (n - 1)
-        assert mp.percent == pytest.approx(100 * len(gaps) / (n * (n - 1)))
+        assert mp == gaps
+        assert len(mp) == len(gaps)
+        assert len(mp) + len(served_pairs_plan(p)) == n * (n - 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -255,7 +253,7 @@ def test_whole_cycle_matches_oracle(case):
                             fault_model=FaultModel.WHOLE_CYCLE)
     want = plan_served_pairs([c.sequence for c in cycles], paired=True,
                              failed_edges=failed, whole_cycle=True)
-    assert got.pairs() == want
+    assert got == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -267,7 +265,7 @@ def test_extra_fault_never_helps(case):
     p = DeploymentPlan(n=n, mode=TrailMode.PAIRED, cycles=tuple(cycles))
     fewer = served_pairs_plan(p, failed_edges=failed[:-1])
     more = served_pairs_plan(p, failed_edges=failed)
-    assert more.bits & ~fewer.bits == 0
+    assert more <= fewer
 
 
 @settings(max_examples=150, deadline=None)
@@ -280,7 +278,7 @@ def test_paired_dominates_single(case):
     paired = served_pairs_plan(
         DeploymentPlan(n=n, mode=TrailMode.PAIRED, cycles=tuple(cycles)),
         failed_edges=failed)
-    assert single.bits & ~paired.bits == 0
+    assert single <= paired
 
 
 @settings(max_examples=150, deadline=None)
@@ -291,7 +289,7 @@ def test_truncated_dominates_whole_cycle(case):
     trunc = served_pairs_plan(p, failed_edges=failed)
     whole = served_pairs_plan(p, failed_edges=failed,
                               fault_model=FaultModel.WHOLE_CYCLE)
-    assert whole.bits & ~trunc.bits == 0
+    assert whole <= trunc
 
 
 @settings(max_examples=100, deadline=None)
@@ -308,5 +306,6 @@ def test_paired_links_double_single(case):
 def test_single_trail_oracle_per_cycle(case):
     n, cycles, failed = case
     for c in cycles:
-        got = served_pairs_cycle(c, TrailMode.SINGLE, n, failed_edges=failed)
-        assert got.pairs() == trail_served_pairs(c.sequence, failed)
+        got = served_pairs_plan(plan(TrailMode.SINGLE, c, n=n),
+                                failed_edges=failed)
+        assert got == trail_served_pairs(c.sequence, failed)

@@ -85,9 +85,15 @@ def test_spec_validation():
                          ("fault_orders", (2.0,)),
                          ("mapping_count", 2.7), ("mapping_count", "5"),
                          ("mapping_count", True), ("seed", 1.9),
-                         ("seed", "0"), ("seed", False)]:
+                         ("seed", "0"), ("seed", False),
+                         ("modes", ("bogus",)), ("fault_model", "bogus")]:
         with pytest.raises(ValueError):
             ExperimentSpec(**{**good, field: value})
+    plain = ExperimentSpec(**{**good, "modes": ("paired",),
+                              "fault_model": "whole-cycle"})
+    # identity, not ==: a str enum member equals its plain value
+    assert (plain.modes[0] is TrailMode.PAIRED
+            and plain.fault_model is FaultModel.WHOLE_CYCLE), plain
 
 
 def test_load_spec_bare_and_wrapped(tmp_path):

@@ -36,13 +36,11 @@ def assert_valid_cycle(cycle: CycleRoute, g: Topology, cset):
 
 def test_cycle_route_rejects_malformed():
     with pytest.raises(ValueError, match="at least 3"):
-        CycleRoute(sequence=(1, 2, 1), hub=1)
+        CycleRoute(sequence=(1, 2, 1))
     with pytest.raises(ValueError, match="return"):
-        CycleRoute(sequence=(1, 2, 3, 4), hub=1)
-    with pytest.raises(ValueError, match="hub"):
-        CycleRoute(sequence=(2, 3, 4, 2), hub=1)
+        CycleRoute(sequence=(1, 2, 3, 4))
     with pytest.raises(ValueError, match="reuses"):
-        CycleRoute(sequence=(1, 2, 1, 2, 1), hub=1)
+        CycleRoute(sequence=(1, 2, 1, 2, 1))
 
 
 def test_ratio_bfs_direct_edge(triangle):
@@ -121,7 +119,7 @@ def test_close_cycle_rejects_path_off_the_graph(square):
 
 def test_insert_adjacent_to_consecutive_nodes(square):
     g = graph(5, list(square.edges) + [(1, 5), (2, 5)])
-    cycle = CycleRoute(sequence=(1, 2, 3, 4, 1), hub=1)
+    cycle = CycleRoute(sequence=(1, 2, 3, 4, 1))
     grown = insert_missing(g, cycle, 5)
     assert grown.sequence == (1, 5, 2, 3, 4, 1)
     assert grown.length == cycle.length + 1
@@ -130,14 +128,14 @@ def test_insert_adjacent_to_consecutive_nodes(square):
 def test_insert_picks_earliest_replacement_on_ties(square):
     # 5 reaches {2,3,4}: replacing (2,3) or (3,4) both give length 5
     g = graph(5, list(square.edges) + [(2, 5), (3, 5), (4, 5)])
-    cycle = CycleRoute(sequence=(1, 2, 3, 4, 1), hub=1)
+    cycle = CycleRoute(sequence=(1, 2, 3, 4, 1))
     grown = insert_missing(g, cycle, 5)
     assert grown.sequence == (1, 2, 5, 3, 4, 1)
 
 
 def test_insert_pendant_node_fails(triangle):
     g = graph(4, list(triangle.edges) + [(1, 4)])
-    cycle = CycleRoute(sequence=(1, 2, 3, 1), hub=1)
+    cycle = CycleRoute(sequence=(1, 2, 3, 1))
     with pytest.raises(InsertionInfeasibleError):
         insert_missing(g, cycle, 4)
 
@@ -228,7 +226,7 @@ def test_insert_memo_answers_as_a_fresh_search(monkeypatch):
             cycle = close_cycle(g, ratio_bfs(g, min(cset), cset), cset)
         except NoReturnPathError:
             continue
-        back = CycleRoute(sequence=cycle.sequence[::-1], hub=cycle.hub)
+        back = CycleRoute(sequence=cycle.sequence[::-1])
         for v in sorted(set(g.nodes) - cycle.nodes):
             memo = {}
             limits = [None] + list(range(cycle.length, cycle.length + 8))
@@ -442,7 +440,6 @@ def test_route_all_k4_triangles(k4):
     cycles = route_all(k4, qs, NodeMapping.identity(4))
     assert len(cycles) == 4
     for i, cycle in enumerate(cycles, start=1):
-        assert cycle.quorum_index == i
         assert cycle.hub == i
         assert cycle.length == 3
         assert set(qs.quorums[i - 1]) <= cycle.nodes
