@@ -10,11 +10,11 @@ from .topology import (BUNDLED, NodeMapping, Topology, TopologyError,
                        bundled_topology, find_bridges, generate_mappings,
                        load_topology, parse_topology, relabel,
                        serialize_topology, topology_to_json)
-from .quorums import (InfeasibleRedundancyError, PairCoverage, QuorumBase,
-                      QuorumSet, SearchBudget, SearchBudgetExhausted,
-                      SearchResult, VerificationReport, bundled_base,
-                      difference_counts, generate_quorums, is_r_redundant,
-                      load_base, pair_coverage, save_base, search_min_base,
+from .quorums import (InfeasibleRedundancyError, QuorumBase, QuorumSet,
+                      SearchBudget, SearchBudgetExhausted, SearchResult,
+                      VerificationReport, bundled_base, difference_counts,
+                      generate_quorums, is_r_redundant, load_base,
+                      pair_coverage, save_base, search_min_base,
                       verify_quorum_set)
 from .routing import (CycleRoute, InsertionInfeasibleError, NoReturnPathError,
                       RoutingError, RoutingInfeasibleError, close_cycle,
@@ -33,7 +33,7 @@ __all__ = [
     "BUNDLED", "CISummary", "CycleRoute", "DeploymentPlan", "ExperimentError",
     "ExperimentSpec", "FaultModel", "InfeasibleRedundancyError",
     "InsertionInfeasibleError", "InsufficientSamplesError",
-    "NoReturnPathError", "NodeMapping", "PairCoverage", "QuorumBase",
+    "NoReturnPathError", "NodeMapping", "QuorumBase",
     "QuorumSet", "ResultRow", "RoutingError", "RoutingInfeasibleError",
     "SearchBudget", "SearchBudgetExhausted", "SearchResult",
     "Topology", "TopologyError", "TrailMode", "VerificationReport",

@@ -81,19 +81,6 @@ class QuorumSet:
 
 
 @dataclass(frozen=True)
-class PairCoverage:
-    """Co-occurrence multiplicity for every unordered node pair."""
-
-    n: int
-    counts: dict[tuple[int, int], int]
-
-    @property
-    def min_multiplicity(self) -> int:
-        # n < 2 has no pairs; report 0 rather than blowing up on min()
-        return min(self.counts.values()) if self.counts else 0
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     n: int
     r: int
@@ -126,10 +113,14 @@ DEFAULT_SEARCH_BUDGET = 2_000_000
 @dataclass(frozen=True)
 class SearchResult:
     base: QuorumBase
-    proven_minimal: bool
     nodes_explored: int
     exhausted_k: tuple[int, ...] = ()
     skipped_k: tuple[int, ...] = ()
+
+    @property
+    def proven_minimal(self) -> bool:
+        """True unless a size level below the base's was skipped."""
+        return not self.skipped_k
 
 
 def difference_counts(base: QuorumBase) -> dict[int, int]:
@@ -162,13 +153,13 @@ def generate_quorums(base: QuorumBase) -> QuorumSet:
     return QuorumSet(n=n, quorums=quorums)
 
 
-def pair_coverage(qs: QuorumSet) -> PairCoverage:
-    """Direct enumeration of pair co-occurrence across all quorums."""
+def pair_coverage(qs: QuorumSet) -> dict[tuple[int, int], int]:
+    """Co-occurrence count of every unordered node pair, by direct enumeration."""
     counts = {pair: 0 for pair in combinations(range(1, qs.n + 1), 2)}
     for quorum in qs.quorums:
         for pair in combinations(sorted(quorum), 2):
             counts[pair] += 1
-    return PairCoverage(n=qs.n, counts=counts)
+    return counts
 
 
 def verify_quorum_set(qs: QuorumSet, r: int) -> VerificationReport:
@@ -204,10 +195,11 @@ def verify_quorum_set(qs: QuorumSet, r: int) -> VerificationReport:
     for (i, a), (j, b) in combinations(enumerate(qs.quorums, start=1), 2):
         if not a & b:
             violations.append(f"quorums {i} and {j} do not intersect")
-    cov = pair_coverage(qs)
-    worst = cov.min_multiplicity if qs.n > 1 else r
-    if qs.n > 1 and worst < r:
-        thin = sorted(p for p, c in cov.counts.items() if c < r)[:5]
+    counts = pair_coverage(qs)
+    # n < 2 has no pairs, so nothing can fall short of r
+    worst = min(counts.values()) if counts else r
+    if worst < r:
+        thin = sorted(p for p, c in counts.items() if c < r)[:5]
         violations.append(
             f"pair multiplicity {worst} below required {r} (e.g. pairs {thin})"
         )
@@ -370,7 +362,7 @@ def search_min_base(n: int, r: int, budget: SearchBudget | None = None) -> Searc
         raise ValueError(f"r must be a positive int, got {r!r}")
     if n == 1:
         return SearchResult(base=QuorumBase(n=1, r=r, members=(1,)),
-                            proven_minimal=True, nodes_explored=0)
+                            nodes_explored=0)
     if r > n:
         raise InfeasibleRedundancyError(
             f"r={r} exceeds n={n}: a pair can share at most n quorums"
@@ -391,7 +383,6 @@ def search_min_base(n: int, r: int, budget: SearchBudget | None = None) -> Searc
         if members is not None:
             return SearchResult(
                 base=QuorumBase(n=n, r=r, members=members),
-                proven_minimal=not skipped,
                 nodes_explored=counter[0],
                 exhausted_k=tuple(exhausted),
                 skipped_k=tuple(skipped),

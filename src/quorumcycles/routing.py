@@ -524,7 +524,9 @@ def route_cycle(g: Topology, c: frozenset[int] | set[int],
                 if route is not None:
                     route = _insert_all(g, route, cset, limit, memo)
             except (NoReturnPathError, InsertionInfeasibleError) as exc:
-                last_error = exc
+                # without its traceback: that holds this frame, memo and
+                # all, in a cycle only the cyclic collector would free
+                last_error = exc.with_traceback(None)
                 continue
             if route is None:
                 continue

@@ -1,7 +1,7 @@
 """Network topology model: parsing, validation, and node relabelings.
 
-Nodes are numbered 1..n.  Edges are undirected, stored canonically as
-(u, v) with u < v.  Two on-disk formats are accepted: a plain text format
+Nodes are numbered 1..n.  Edges are undirected.  Two on-disk formats are
+accepted: a plain text format
 
     # comment
     n 14
@@ -9,7 +9,13 @@ Nodes are numbered 1..n.  Edges are undirected, stored canonically as
     1 3
 
 and a JSON object ``{"n": 14, "edges": [[1, 2], [1, 3]]}``.  Both parse to
-the same Topology.
+the same Topology.  Only parsing canonicalises each edge to (u, v) with
+u < v, sorts the edge list and checks connectivity; a Topology built
+directly takes its edge list as given.
+
+`Topology.link_bits` is the one neighbour table, and one BFS over it,
+`_distances`, gives the hop table, the connectivity check and the
+bridges.
 """
 
 from __future__ import annotations
@@ -45,19 +51,6 @@ class Topology:
     edges: tuple[Edge, ...]
 
     @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        # index 0 unused so adjacency[v] works with 1-based node ids
-        neighbors: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for u, v in self.edges:
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in neighbors)
-
-    @cached_property
     def link_bits(self) -> tuple[dict[int, int], ...]:
         """link_bits[u][w] is 1 << i for the link edges[i] joining u and w.
 
@@ -70,52 +63,41 @@ class Topology:
         return tuple(table)
 
     @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        # index 0 unused so adjacency[v] works with 1-based node ids
+        return tuple(tuple(sorted(row)) for row in self.link_bits)
+
+    @cached_property
     def hops(self) -> tuple[tuple[int, ...], ...]:
         """All-pairs hop distances, hops[u][v]; n marks an unreachable pair."""
-        table = [()]
-        for source in self.nodes:
-            dist = [self.n] * (self.n + 1)
-            dist[source] = 0
-            frontier = [source]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for w in self.adjacency[u]:
-                        if dist[w] == self.n:
-                            dist[w] = dist[u] + 1
-                            nxt.append(w)
-                frontier = nxt
-            table.append(tuple(dist))
-        return tuple(table)
+        return ((),) + tuple(_distances(self, source) for source in self.nodes)
 
     @property
     def nodes(self) -> range:
         return range(1, self.n + 1)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self.edge_set
+        return 1 <= u <= self.n and v in self.link_bits[u]
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return len(self.link_bits[v])
 
 
-def _components(t: Topology) -> list[set[int]]:
-    seen: set[int] = set()
-    out = []
-    for start in t.nodes:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in t.adjacency[u]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        out.append(comp)
-    return out
+def _distances(t: Topology, source: int, banned: int = 0) -> tuple[int, ...]:
+    """Hop counts from source avoiding the banned links; n marks no path."""
+    n, links = t.n, t.link_bits
+    dist = [n] * (n + 1)
+    dist[source] = 0
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w, bit in links[u].items():
+                if dist[w] == n and not bit & banned:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return tuple(dist)
 
 
 def _build(n: int, raw_edges: list[tuple[int, int]], lines: list[int] | None = None) -> Topology:
@@ -136,8 +118,12 @@ def _build(n: int, raw_edges: list[tuple[int, int]], lines: list[int] | None = N
     if n < 1:
         raise TopologyError(f"node count must be positive, got {n}")
     t = Topology(n=n, edges=tuple(sorted(canon)))
-    comps = _components(t)
-    if len(comps) > 1:
+    if n in _distances(t, 1)[1:]:
+        comps, left = [], set(t.nodes)
+        while left:
+            reach = _distances(t, min(left))
+            comps.append({v for v in left if reach[v] < n})
+            left -= comps[-1]
         smallest = min(comps, key=lambda c: (len(c), min(c)))
         raise TopologyError(
             f"graph is disconnected ({len(comps)} components; "
@@ -233,37 +219,8 @@ def bundled_topology(name: str) -> Topology:
 
 def find_bridges(t: Topology) -> frozenset[Edge]:
     """Edges whose removal disconnects the graph (cycle routing blockers)."""
-    disc = [0] * (t.n + 1)
-    low = [0] * (t.n + 1)
-    visited = [False] * (t.n + 1)
-    bridges: set[Edge] = set()
-    counter = 1
-    for root in t.nodes:
-        if visited[root]:
-            continue
-        # iterative DFS; recursion depth is unbounded on path-like graphs
-        visited[root] = True
-        disc[root] = low[root] = counter
-        counter += 1
-        stack: list[tuple[int, int, int]] = [(root, 0, 0)]  # (node, parent, next child idx)
-        while stack:
-            u, parent, i = stack.pop()
-            if i < len(t.adjacency[u]):
-                stack.append((u, parent, i + 1))
-                w = t.adjacency[u][i]
-                if not visited[w]:
-                    visited[w] = True
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, u, 0))
-                elif w != parent:
-                    low[u] = min(low[u], disc[w])
-            else:
-                if parent:
-                    low[parent] = min(low[parent], low[u])
-                    if low[u] > disc[parent]:
-                        bridges.add(canonical_edge(parent, u))
-    return frozenset(bridges)
+    return frozenset(canonical_edge(u, v) for u, v in t.edges
+                     if _distances(t, u, t.link_bits[u][v])[v] == t.n)
 
 
 @dataclass(frozen=True)

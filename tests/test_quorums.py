@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -101,10 +103,10 @@ def test_generate_quorums_structure(nm):
 
 def test_pair_coverage_counts():
     qs = generate_quorums(base(4, (1, 2, 3)))
-    cov = pair_coverage(qs)
-    assert cov.min_multiplicity == 2
-    assert cov.counts[(1, 2)] == 2
-    assert len(cov.counts) == 6
+    counts = pair_coverage(qs)
+    assert min(counts.values()) == 2
+    assert counts[(1, 2)] == 2
+    assert len(counts) == 6
 
 
 def test_verify_accepts_valid_sets():
@@ -329,6 +331,25 @@ def test_bundled_bases_verify():
             if r == 1:
                 assert b.k_hat == k1
     assert bundled_base(99, 1) is None
+
+
+BASES = sorted((Path(quorums.__file__).parent / "data" / "bases").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", BASES, ids=lambda p: p.stem)
+def test_bundled_base_labels_hold(path):
+    label = json.loads(path.read_text(encoding="utf-8"))
+    n, r = label["n"], label["r"]
+    if label["proven_minimal"]:
+        # the label's own count as budget: the same search as an
+        # unbudgeted one when the label holds, and bounded when it lies
+        result = search_min_base(n, r, SearchBudget(label["nodes_explored"]))
+        assert (list(result.base.members), result.base.k_hat,
+                result.proven_minimal, result.nodes_explored) == (
+            label["members"], label["k_hat"], True, label["nodes_explored"])
+    else:
+        # a base at the floor would itself prove minimality
+        assert label["k_hat"] > search_floor(n, r)
 
 
 def test_random_bases_against_oracle_bulk():

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from fractions import Fraction
@@ -360,6 +361,19 @@ def test_route_cycle_across_bridge_fails():
     with pytest.raises(RoutingInfeasibleError) as info:
         route_cycle(g, {1, 5})
     assert str(info.value).endswith("; bridges separating the set: [(3, 4)]")
+
+
+def test_route_cycle_leaves_no_cyclic_garbage():
+    # some seeds of this route fail; their kept error must not tie the
+    # call's frame, insertion memo and all, into a reference cycle
+    g = graph(6, [(1, 2), (1, 3), (1, 6), (2, 3), (2, 5), (3, 6), (4, 5), (4, 6)])
+    gc.collect()
+    gc.disable()
+    try:
+        assert route_cycle(g, set(g.nodes), hub=1).sequence == (1, 2, 5, 4, 6, 3, 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_route_cycle_deterministic(k4):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from quorumcycles.topology import (BUNDLED, NodeMapping, Topology,
                                    parse_topology, relabel,
                                    serialize_topology, topology_to_json)
 
-from oracles import random_connected_graph
+from oracles import bfs_distances, connected, random_connected_graph
 
 TRIANGLE_TEXT = "n 3\n1 2\n2 3\n1 3\n"
 
@@ -110,6 +111,62 @@ def test_adjacency_and_degree(square):
     assert square.adjacency[1] == (2, 4)
     assert square.degree(3) == 2
     assert square.has_edge(4, 1) and not square.has_edge(1, 3)
+
+
+def test_has_edge_on_a_non_canonical_edge_list():
+    # built directly, a topology takes its edge list as given
+    t = Topology(n=3, edges=((2, 1), (3, 2), (3, 1)))
+    assert t.has_edge(1, 2) and t.has_edge(2, 1)
+    assert t.adjacency[1] == (2, 3) and t.degree(2) == 2
+    assert not (t.has_edge(1, 1) or t.has_edge(0, 1) or t.has_edge(4, 1)
+                or t.has_edge(-1, 2))
+
+
+def _random_graphs(seed, count):
+    """Seeded graphs with canonical sorted edges; every third one is two
+    random connected graphs on disjoint node ranges plus isolated nodes."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randrange(2, 13)
+        edges = random_connected_graph(rng, n, extra_edges=rng.randrange(0, n))
+        if i % 3 == 2:
+            m = rng.randrange(2, 9)
+            other = random_connected_graph(rng, m, extra_edges=rng.randrange(0, m))
+            edges = sorted(edges + [(u + n, v + n) for u, v in other])
+            n += m + rng.randrange(0, 3)
+        yield Topology(n=n, edges=tuple(edges))
+
+
+def test_topology_tables_match_oracles():
+    for t in _random_graphs(seed=19, count=90):
+        adj = {v: [] for v in t.nodes}
+        for u, v in t.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        links = set(t.edges)
+        for u in t.nodes:
+            assert t.adjacency[u] == tuple(sorted(adj[u])), t
+            assert t.degree(u) == len(adj[u]), t
+            assert all(t.has_edge(u, v) == ((min(u, v), max(u, v)) in links)
+                       for v in t.nodes), t
+            dist = bfs_distances(adj, u)
+            assert t.hops[u][1:] == tuple(dist.get(v, t.n) for v in t.nodes), t
+        bridges = {(u, v) for u, v in t.edges if not connected(
+            {w: [x for x in adj[w] if {w, x} != {u, v}] for w in adj}, (u, v))}
+        assert find_bridges(t) == bridges, t
+        comps, left = [], set(t.nodes)
+        while left:
+            comps.append(set(bfs_distances(adj, min(left))))
+            left -= comps[-1]
+        if len(comps) == 1:
+            assert parse_topology(serialize_topology(t)) == t
+            continue
+        smallest = min(comps, key=lambda c: (len(c), min(c)))
+        with pytest.raises(TopologyError) as info:
+            parse_topology(serialize_topology(t))
+        assert str(info.value) == (
+            f"graph is disconnected ({len(comps)} components; "
+            f"e.g. nodes {sorted(smallest)} are isolated from the rest)")
 
 
 def test_hops(square):
