@@ -240,7 +240,10 @@ def _search_level(n: int, r: int, k_hat: int, counter: list[int],
     Returns the lexicographically smallest valid base, or None when the
     level is exhausted.  Raises _LevelBudgetUp when the node budget dies
     mid-level.  counter[0] gains one per candidate x tried, counted
-    before the budget check.
+    before the budget check.  The first slot tries only x = 2: a valid
+    base covers class 1 by some pair {s, s+1} (maybe {n, 1}); rotated
+    onto (1, 2) it stays valid, and tuples starting (1, 2) sort before
+    those starting (1, >=3), so a level's smallest valid base holds 2.
 
     Bit-parallel: the members are a forward mask `fwd` (bit s) and a
     reversed mask `rev` (bit n - s).  Every member lies below a candidate
@@ -249,50 +252,47 @@ def _search_level(n: int, r: int, k_hat: int, counter: list[int],
     (bits of fwd << (n - x)).  A class hit from both sides gains two.
     need[j] is the set of classes still short by more than j units, so a
     candidate clears popcount(need[0] & hit) + popcount(need[1] & both)
-    units.  On even n the half-way class gains 2 per pair, so it needs
-    ceil(r/2) pairs.
+    units.  Even n's half-way class gains 2 per pair, so it needs
+    ceil(r/2) pairs, and x hits it only through lo: on any n a pair
+    clears at most one unit, and a child is pruned when its deficit
+    exceeds its future pairs.
 
-    The last slot is solved in closed form rather than candidate by
-    candidate: x completes the base iff it hits every class of need[0],
-    hits every class of need[1] from both sides and need[2] is empty.
-    Class c is hit from below by x in fwd << c and from above by x in
-    fwd << (n - c) (no such side for the half-way class), so the valid x
-    form one int mask.  The counter still counts every candidate of that
-    slot: the span up to the lowest valid x, or to n when there is none.
+    The last slot is solved in closed form: x completes the base iff it
+    hits every class of need[0], hits every class of need[1] from both
+    sides and need[2] is empty.  Class c is hit from below by x in
+    fwd << c and from above by x in fwd << (n - c) (none for the half-way
+    class), so the valid x form one int mask.  The counter still counts
+    the slot's candidates up to the lowest valid x, or all if none is.
     """
     half = n // 2
-    # each future pair clears at most 2 units on even n (half-way class)
-    scale = 2 if n % 2 == 0 else 1
     low = (1 << (half + 1)) - 2         # classes 1..half
     high = (1 << (n - half)) - 2        # classes 1..n-half-1
     need = [low] * r + [0, 0, 0]        # empty layers under the last
-    if scale == 2:
-        for j in range((r + 1) // 2, r):
-            need[j] &= ~(1 << half)
+    for j in range((r + 1) // 2, r) if n % 2 == 0 else ():
+        need[j] &= ~(1 << half)         # half-way class: ceil(r/2) pairs
     deficit = sum(m.bit_count() for m in need)
     limit = sys.maxsize if max_nodes is None else max_nodes
     nodes = counter[0]
     layers = range(r)
-    ring = (2 << n) - 1                 # candidates up to n
 
     def members(fwd: int) -> tuple[int, ...]:
         return tuple(s for s in range(1, n + 1) if fwd >> s & 1)
 
     def finish(fwd, need0, need1, deficit, last):
         nonlocal nodes
-        # each of the k_hat - 1 members pairs with x once and clears at
-        # most one unit; need[2] is empty iff need0 and need1 hold the
-        # whole deficit
+        # x clears at most one unit per member; need[2] is empty iff
+        # need0 and need1 hold the whole deficit
+        top = n if last > 1 else 2      # the first slot is pinned to 2
         ok = 0
         if (deficit < k_hat
                 and deficit == need0.bit_count() + need1.bit_count()):
-            ok = ring >> (last + 1) << (last + 1)
+            ok = (2 << top) - 1 >> (last + 1) << (last + 1)
             while need0 and ok:
                 c = (need0 & -need0).bit_length() - 1
                 need0 &= need0 - 1
                 far = fwd << (n - c) if c < n - half else 0
                 ok &= fwd << c & far if need1 >> c & 1 else fwd << c | far
-        x = (ok & -ok).bit_length() - 1 if ok else n
+        x = (ok & -ok).bit_length() - 1 if ok else top
         if nodes + x - last > limit:
             x = last + limit - nodes + 1
             nodes = limit + 1
@@ -305,9 +305,9 @@ def _search_level(n: int, r: int, k_hat: int, counter: list[int],
         # a child has k_hat - rest members and rest slots; prune it here,
         # before the call, when its deficit exceeds its future pairs
         rest = slots - 1
-        bound = scale * ((k_hat - rest) * rest + rest * (rest - 1) // 2)
+        bound = (k_hat - rest) * rest + rest * (rest - 1) // 2
         need0, need1, need2 = need[0], need[1], need[2]
-        for x in range(last + 1, n - slots + 2):
+        for x in range(last + 1, n - slots + 2 if last > 1 else 3):
             nodes += 1
             if nodes > limit:
                 raise _LevelBudgetUp(members(fwd) + (x,))
@@ -336,7 +336,7 @@ def _search_level(n: int, r: int, k_hat: int, counter: list[int],
         return None
 
     rest = k_hat - 1
-    if deficit > scale * (rest + rest * (rest - 1) // 2):
+    if deficit > rest + rest * (rest - 1) // 2:
         return None
     try:
         if rest == 1:

@@ -67,7 +67,9 @@ def _reference_level(n, r, k_hat, counter, max_nodes):
     """One size level of the closure DFS the bitmask kernel replaced.
 
     Per-class counts and a running unit deficit, updated member by member
-    on the way down and undone on the way back.
+    on the way down and undone on the way back.  It makes the kernel's two
+    cuts: a pair clears at most one unit (the half-way class needs only
+    ceil(r/2) pairs), and the first slot tries only x = 2.
     """
     half = n // 2
     even = n % 2 == 0
@@ -116,13 +118,9 @@ def _reference_level(n, r, k_hat, counter, max_nodes):
             return
         placed = len(members)
         future_pairs = placed * slots + slots * (slots - 1) // 2
-        if even:
-            # each future pair can clear at most 2 units (half-way class)
-            if deficit > 2 * future_pairs:
-                return
-        elif deficit > future_pairs:
+        if deficit > future_pairs:
             return
-        for x in range(last + 1, n - slots + 2):
+        for x in range(last + 1, n - slots + 2 if last > 1 else 3):
             counter[0] += 1
             if max_nodes is not None and counter[0] > max_nodes:
                 raise _ReferenceBudgetUp(tuple(members) + (x,))

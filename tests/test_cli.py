@@ -60,17 +60,18 @@ def test_quorum_search_infeasible(capsys):
     assert err.startswith("error: ")
 
 
-# sha256 of stdout and stderr, taken before the search moved to bitmasks
+# sha256 of stdout and stderr; when the search gained its tight pruning
+# bound and pinned its first slot, only the `nodes explored` lines moved
 SEARCH_PINS = {
     ("14", "2", None): (
-        "011fc8aa8f5a8e7dcfe4e40e6909fd6215a48a8394839b4144bc7dc2e033a37b", ""),
+        "ba409566e2424a50374eeaef8d7dfed4b86f1a3613f7f2f28256fca7b08a058c", ""),
     ("20", "3", None): (
-        "c710ddddca444efc872b81ba769e9d473d6e5251f7c41c464a41849460e3459c", ""),
+        "4e768e60a653aadc974df667815d64b51213bae09c224bfd6b8ce370cc6a331b", ""),
     ("24", "1", None): (
-        "98d27bcf1d6e14c4a71583f03da08ef39d19bb15d0734293905f15bee8dbc77a", ""),
+        "967407896d5cc391205e58f4b0492a69c86ea513e3e8318240e84ae29e2a4b6f", ""),
     # skips k=9,10: "minimal: not proven (budget skipped k=9,10)"
     ("24", "3", "100"): (
-        "80fb67e772532f7e196bad4af515a2dd321d3c8551c9307fbe4868dedc27179b", ""),
+        "33dfdb0049f2e70db53869cc96d3937c24e798b88a402b2c55818cc02a1669a3", ""),
     # every level skipped: SearchBudgetExhausted on stderr, exit 1
     ("16", "2", "2"): (
         "", "ac6f0b6e8e8cd4f47a478879d992a06b592b766e8abb0fc291b8d4912dbfeeb3"),
@@ -89,6 +90,16 @@ def test_quorum_search_stdout_pinned(capsys, n, r, budget):
 
     assert code == (1 if err else 0)
     assert (digest(out), digest(err)) == SEARCH_PINS[(n, r, budget)]
+
+
+def test_quorum_search_proves_54_node_base_under_default_budget(capsys):
+    # the k=8 level is exhausted inside the default 2M nodes a level
+    code, out, _ = run(capsys, "quorum", "search", "--n", "54", "--r", "1")
+    assert code == 0
+    assert out.splitlines() == ["n=54 r=1 k_hat=9",
+                                "members: 1 2 3 4 5 10 16 22 32",
+                                "minimal: proven",
+                                "nodes explored: 857452"]
 
 
 @pytest.mark.parametrize("budget", ["0", "-3"])

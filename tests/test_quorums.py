@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -190,17 +191,32 @@ def search_outcome(n, r, max_nodes):
             "skipped_k": result.skipped_k}
 
 
+# the 86 cases 2 <= n <= 30, 1 <= r <= min(3, n), in ascending order
+SWEEP = [(n, r) for n in range(2, 31) for r in range(1, min(3, n) + 1)]
+
+
 @pytest.mark.parametrize("max_nodes", [None, 5, 50, 777])
 def test_search_matches_reference_dfs(max_nodes):
     # same DFS tree as the closure DFS: base, node count, levels, frontier;
     # 5 nodes a level skips every level for 60 of the 86 cases, so their
     # frontiers are compared too
-    for n in range(2, 31):
-        for r in range(1, min(3, n) + 1):
-            if max_nodes is None and (n, r) == (30, 3):
-                continue  # 14.3M nodes: about three minutes in the referee
-            expect = reference_search(n, r, max_nodes)
-            assert search_outcome(n, r, max_nodes) == expect, (n, r, max_nodes)
+    for n, r in SWEEP:
+        expect = reference_search(n, r, max_nodes)
+        assert search_outcome(n, r, max_nodes) == expect, (n, r, max_nodes)
+
+
+def test_search_results_digest_pinned():
+    # every base and exhausted level of the sweep, pinned from a kernel
+    # without the tight bound and the pinned first slot, so a cut that
+    # changed a result fails here even if the referee shared the mistake
+    lines = []
+    for n, r in SWEEP:
+        result = search_min_base(n, r)
+        lines.append(f"{n},{r},{list(result.base.members)},"
+                     f"{list(result.exhausted_k)}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (
+        "fbae87ab6bd1b4b8c92d748934f3bb5d7adef8d45e47b36ab7931e3d94b3fe24")
 
 
 def level_outcome(search, stop, n, r, k_hat, max_nodes):
@@ -232,18 +248,22 @@ def test_search_budget_sweep_matches_reference(n, r):
 def test_search_node_count_pinned():
     # the benchmark's (29, 2) case; a drift in the counter fails here first
     result = search_min_base(29, 2)
-    assert result.nodes_explored == 263_669
+    assert result.nodes_explored == 55_819
     assert result.exhausted_k == (8,)
     assert result.base.members == (1, 2, 3, 4, 5, 6, 10, 16, 23)
 
 
 # the benchmark's other search cases, beyond the n <= 30 reference sweep
-@pytest.mark.parametrize("n,r,nodes,exhausted_k,members", [
-    (28, 2, 1_182_833, (8,), (1, 2, 3, 4, 5, 6, 9, 15, 22)),
-    (41, 1, 654_079, (7,), (1, 2, 3, 4, 5, 10, 16, 26)),
-    (43, 1, 330_972, (7,), (1, 2, 3, 4, 5, 11, 16, 27)),
-    (40, 2, 511_267, (), (1, 2, 3, 4, 6, 10, 15, 16, 23, 26)),
-])
+BENCHMARK_CASES = [
+    (28, 2, 117_104, (8,), (1, 2, 3, 4, 5, 6, 9, 15, 22)),
+    (41, 1, 85_832, (7,), (1, 2, 3, 4, 5, 10, 16, 26)),
+    (43, 1, 40_573, (7,), (1, 2, 3, 4, 5, 11, 16, 27)),
+    (40, 2, 176_239, (), (1, 2, 3, 4, 6, 10, 15, 16, 23, 26)),
+]
+
+
+@pytest.mark.parametrize("n,r,nodes,exhausted_k,members", BENCHMARK_CASES,
+                         ids=[f"{n}-{r}" for n, r, *_ in BENCHMARK_CASES])
 def test_search_benchmark_cases_pinned(n, r, nodes, exhausted_k, members):
     result = search_min_base(n, r)
     assert result.nodes_explored == nodes
