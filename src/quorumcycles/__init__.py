@@ -16,8 +16,7 @@ from .quorums import (InfeasibleRedundancyError, QuorumBase, QuorumSet,
                       generate_quorums, is_r_redundant, load_base,
                       pair_coverage, save_base, search_min_base,
                       verify_quorum_set)
-from .routing import (CycleRoute, InsertionInfeasibleError, NoReturnPathError,
-                      RoutingError, RoutingInfeasibleError, close_cycle,
+from .routing import (CycleRoute, RoutingInfeasibleError, close_cycle,
                       insert_missing, ratio_bfs, route_all, route_cycle)
 from .lighttrail import (DeploymentPlan, FaultModel, TrailMode, links_used,
                          missing_pairs, served_pairs_plan)
@@ -32,9 +31,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BUNDLED", "CISummary", "CycleRoute", "DeploymentPlan", "ExperimentError",
     "ExperimentSpec", "FaultModel", "InfeasibleRedundancyError",
-    "InsertionInfeasibleError", "InsufficientSamplesError",
-    "NoReturnPathError", "NodeMapping", "QuorumBase",
-    "QuorumSet", "ResultRow", "RoutingError", "RoutingInfeasibleError",
+    "InsufficientSamplesError", "NodeMapping", "QuorumBase",
+    "QuorumSet", "ResultRow", "RoutingInfeasibleError",
     "SearchBudget", "SearchBudgetExhausted", "SearchResult",
     "Topology", "TopologyError", "TrailMode", "VerificationReport",
     "bundled_base", "bundled_topology", "close_cycle", "difference_counts",

@@ -14,11 +14,13 @@ heuristic pipeline:
 route_cycle runs this from every member's seed path and finishes each
 seed two ways: close it first and splice the rest in (steps 2 and 3),
 or first extend it through the missing members (_collect) and close it
-last.  Each finish is bounded by the shortest cycle found so far and
-stops once it must come out longer; the shortest cycle wins.  Seeds
-often close the same cycle, so the finishes of one route_cycle call
-share each off-cycle search and detour of insert_missing, keyed by the
-cycle's links and the member spliced in.
+last.  Every finish runs under one int bound on the cycle's links:
+the graph's link count, since no edge-distinct walk has more, and then
+the shortest cycle found so far.  Each stage returns None once nothing
+fits under the bound; the shortest cycle wins.  Seeds often close the
+same cycle, so the finishes of one route_cycle call share each
+off-cycle search and detour of insert_missing, keyed by the cycle's
+links and the member spliced in.
 
 Ties everywhere break deterministically (fewer hops, then lexicographic
 node sequence) so routing is reproducible.
@@ -34,32 +36,12 @@ from .topology import NodeMapping, Topology, canonical_edge, find_bridges, relab
 Edge = tuple[int, int]
 
 
-class RoutingError(Exception):
-    pass
-
-
-class NoReturnPathError(RoutingError):
-    """The seed path cannot be closed without reusing one of its edges."""
-
-    def __init__(self, path: tuple[int, ...]):
-        self.path = path
-        super().__init__(f"no edge-disjoint return path closing {list(path)}")
-
-
-class InsertionInfeasibleError(RoutingError):
-    """A missing member cannot be spliced in without reusing an edge."""
-
-    def __init__(self, node: int, sequence: tuple[int, ...]):
-        self.node = node
-        self.sequence = sequence
-        super().__init__(f"cannot insert node {node} into cycle {list(sequence)}")
-
-
-class RoutingInfeasibleError(RoutingError):
+class RoutingInfeasibleError(Exception):
     """No valid cycle exists for a communication set (or, for route_all,
     at least one quorum could not be routed)."""
 
-    def __init__(self, message: str, failures: dict[int, RoutingError] | None = None):
+    def __init__(self, message: str,
+                 failures: dict[int, RoutingInfeasibleError] | None = None):
         self.failures = failures or {}
         super().__init__(message)
 
@@ -104,6 +86,13 @@ class CycleRoute:
     @property
     def nodes(self) -> frozenset[int]:
         return frozenset(self.sequence)
+
+
+def _check_nodes(g: Topology, nodes, what: str) -> None:
+    """Raise ValueError for a node id outside 1..g.n."""
+    for v in nodes:
+        if not 1 <= v <= g.n:
+            raise ValueError(f"{what} {v} out of range 1..{g.n}")
 
 
 def _walk_bits(g: Topology, seq: tuple[int, ...]) -> int:
@@ -179,24 +168,23 @@ def _densest(g: Topology, source: int, members: frozenset[int], banned: int
     return min(reached, key=lambda e: _rank(e[0], e[1])) if reached else None
 
 
-def ratio_bfs(g: Topology, source: int, c: frozenset[int] | set[int]) -> tuple[int, ...]:
-    """Best seed path from source to some other member of c.
+def ratio_bfs(g: Topology, source: int, c: frozenset[int] | set[int]
+              ) -> tuple[int, ...] | None:
+    """Best seed path from source to some other member of c, or None.
 
     Among shortest paths to each member, prefers the one with the highest
     fraction of c-nodes per path node; ties go to fewer hops, then the
-    lexicographically smallest sequence.
+    lexicographically smallest sequence.  None means no other member is
+    reachable.
     """
     cset = frozenset(c)
+    _check_nodes(g, cset, "member")
     if source not in cset:
         raise ValueError(f"source {source} is not in the communication set")
     if len(cset) < 2:
         raise ValueError("communication set needs a second member to aim for")
     entry = _densest(g, source, cset, 0)
-    if entry is None:
-        raise RoutingInfeasibleError(
-            f"no member of {sorted(cset)} reachable from {source}"
-        )
-    return entry[1]
+    return None if entry is None else entry[1]
 
 
 def close_cycle(g: Topology, path: tuple[int, ...],
@@ -207,20 +195,19 @@ def close_cycle(g: Topology, path: tuple[int, ...],
     The return path is a shortest one; among equally short candidates the
     one touching the most c-nodes wins (then lexicographic), which keeps
     later member insertions cheap.  The cycle starts where the path did.
-    Given a limit, returns None instead of a cycle longer than limit
-    links or of NoReturnPathError.
+    Returns None when no cycle of at most limit links closes the path;
+    the default limit, the graph's link count, drops no edge-distinct
+    cycle.
     """
     if len(path) < 2:
         raise ValueError("path needs at least one edge to close")
+    _check_nodes(g, path, "node")
+    if limit is None:
+        limit = len(g.edges)
     start, end = path[0], path[-1]
-    room = None if limit is None else limit - (len(path) - 1)
     ret = _layered_paths(g, end, frozenset(c), _walk_bits(g, path),
-                         {start}, room).get(start)
-    if ret is None:
-        if limit is not None:
-            return None
-        raise NoReturnPathError(tuple(path))
-    return CycleRoute(tuple(path) + ret[1][1:])
+                         {start}, limit - (len(path) - 1)).get(start)
+    return None if ret is None else CycleRoute(tuple(path) + ret[1][1:])
 
 
 def _leg_key(entry: tuple[int, tuple[int, ...], int]) -> tuple:
@@ -284,8 +271,7 @@ def _off_cycle_legs(g: Topology, v: int, cycle_bits: int, cset: frozenset[int]):
 
 def _detour(g: Topology, first: tuple[int, tuple[int, ...], int],
             back: tuple[int, tuple[int, ...], int], banned: int,
-            cset: frozenset[int] = frozenset(), room: int | None = None
-            ) -> tuple[int, ...] | None:
+            cset: frozenset[int], room: int) -> tuple[int, ...] | None:
     """Edge-distinct walk a -> v -> b avoiding banned links, or None.
 
     first and back are the best a -> v and v -> b legs avoiding banned.
@@ -293,10 +279,9 @@ def _detour(g: Topology, first: tuple[int, tuple[int, ...], int],
     can block the second; keeps the better feasible combination.  When
     the legs share no link, each order's re-search returns the other
     order's leg unchanged (a best path present in a subgraph is still
-    best there), so both orders give first + back.  Given room, the
-    re-searches drop walks of more than room links, so the result is
-    the same whenever the walk fits and None (or a longer walk) when it
-    does not.
+    best there), so both orders give first + back.  The re-searches
+    drop walks of more than room links, so the result is the same
+    whenever the walk fits and None (or a longer walk) when it does not.
     """
     _, av, av_bits = first
     _, vb, vb_bits = back
@@ -304,12 +289,12 @@ def _detour(g: Topology, first: tuple[int, tuple[int, ...], int],
         return av + vb[1:]
     a, v, b = av[0], av[-1], vb[-1]
     candidates = []
-    depth = None if room is None else room - (len(av) - 1)
-    second = _layered_paths(g, v, cset, banned | av_bits, {b}, depth).get(b)
+    second = _layered_paths(g, v, cset, banned | av_bits, {b},
+                            room - (len(av) - 1)).get(b)
     if second is not None:
         candidates.append(av + second[1][1:])
-    depth = None if room is None else room - (len(vb) - 1)
-    fore = _layered_paths(g, a, cset, banned | vb_bits, {v}, depth).get(v)
+    fore = _layered_paths(g, a, cset, banned | vb_bits, {v},
+                          room - (len(vb) - 1)).get(v)
     if fore is not None:
         candidates.append(fore[1] + vb[1:])
     if not candidates:
@@ -327,18 +312,21 @@ def insert_missing(g: Topology, route: CycleRoute, v: int,
     minimizing the resulting cycle length wins (ties: earliest edge
     position, then lexicographic detour).  Positions are tried cheapest
     lower bound first, and the search stops once no remaining position
-    can win, so the result equals a scan of every edge.  Given a limit,
-    returns None instead of a cycle longer than limit links or of
-    InsertionInfeasibleError.
+    can win, so the result equals a scan of every edge.  Returns None
+    when no such cycle has at most limit links; the default limit, the
+    graph's link count, drops no edge-distinct cycle.
 
     memo, shared by calls on one g and c, keeps per (cycle link bits, v)
     the off-cycle legs and each link's detour with the room it was
-    found under.  A detour found under a room is the unbounded one, so
-    it answers any room it fits; None under a room answers any smaller
-    one.  Other lookups search again, so the result never depends on
-    the memo.
+    found under.  A detour found under a room is the one every larger
+    room finds, so it answers any room it fits; None under a room
+    answers any smaller one.  Other lookups search again, so the result
+    never depends on the memo.
     """
     seq = route.sequence
+    _check_nodes(g, (v,) + seq, "node")
+    if limit is None:
+        limit = len(g.edges)
     if v in seq:
         raise ValueError(f"node {v} is already on the cycle")
     cset = frozenset(c)
@@ -357,8 +345,8 @@ def insert_missing(g: Topology, route: CycleRoute, v: int,
     # lb = min(dv[b], 1 + dv[a]).  A detour at pos thus gives a cycle of at
     # least len(seq) - 2 + la + lb links; once (bound, pos) passes the best
     # (length, pos) so far, neither it nor any later entry can win or tie
-    # at an earlier position.  A limit acts as a best so far of limit + 1
-    # links ahead of every position.
+    # at an earlier position.  The limit acts as a best so far of
+    # limit + 1 links ahead of every position.
     order = []
     for pos, (a, b) in enumerate(zip(seq, seq[1:])):
         da, db = dv.get(a, far), dv.get(b, far)
@@ -366,24 +354,20 @@ def insert_missing(g: Topology, route: CycleRoute, v: int,
         if la < far:
             order.append((len(seq) - 2 + la + min(db, 1 + da), pos))
     order.sort()
-    best: tuple[int, int, tuple[int, ...] | None] | None = (
-        None if limit is None else (limit + 1, -1, None))
+    best: tuple[int, int, tuple[int, ...] | None] = (limit + 1, -1, None)
     for bound, pos in order:
-        room = None
-        if best is not None:
-            # the longest cycle that still wins here: ties win only
-            # ahead of the best position
-            cap = best[0] - (pos > best[1])
-            if bound > cap:
-                break
-            room = cap - (len(seq) - 2)
+        # the longest cycle that still wins here: ties win only ahead of
+        # the best position
+        cap = best[0] - (pos > best[1])
+        if bound > cap:
+            break
+        room = cap - (len(seq) - 2)
         a, b = seq[pos], seq[pos + 1]
-        # a walk found under some room is the unbounded one (one too long
-        # for this room loses to best below), and None under a room stays
-        # None under a smaller one
+        # a walk found under some room is found under every larger one
+        # (one too long for this room loses to best below), and None
+        # under a room stays None under a smaller one
         found = detours.get((a, b))
-        if found is None or (found[1] is None and found[0] is not None
-                             and (room is None or room > found[0])):
+        if found is None or (found[1] is None and room > found[0]):
             found = detours[a, b] = (room, _detour(
                 g, *legs(a, b), cycle_bits ^ links[a][b], cset, room))
         det = found[1]
@@ -391,10 +375,8 @@ def insert_missing(g: Topology, route: CycleRoute, v: int,
             continue
         new_len = len(seq) - 2 + len(det) - 1
         cand = (new_len, pos, det)
-        if best is None or cand < best:
+        if cand < best:
             best = cand
-    if best is None:
-        raise InsertionInfeasibleError(v, seq)
     _, pos, det = best
     if det is None:
         return None
@@ -418,45 +400,43 @@ def _separating_bridges(g: Topology, cset: frozenset[int]) -> list[Edge]:
 
 
 def _insert_all(g: Topology, route: CycleRoute, cset: frozenset[int],
-                limit: int | None, memo: dict) -> CycleRoute | None:
+                limit: int, memo: dict) -> CycleRoute | None:
     """Splice every missing member in, nearest to the cycle first.
 
-    Given a limit, returns None once the cycle cannot stay within limit
-    links: the detour that takes in a member d hops off the cycle
-    replaces one link by a walk of at least 2d.  memo goes to every
-    insert_missing call.
+    Returns None once some member is unreachable or the cycle cannot
+    stay within limit links: the detour that takes in a member d hops
+    off the cycle replaces one link by a walk of at least 2d.  memo goes
+    to every insert_missing call.
     """
     while True:
         on_cycle = set(route.sequence)
-        missing = sorted(cset - on_cycle)
+        missing = cset - on_cycle
         if not missing:
             return route
         dists = [(min(g.hops[v][u] for u in on_cycle), v) for v in missing]
         # nearest-to-cycle first, ties by node id
         dist, v = min(dists)
-        if dist == g.n:  # no missing member is reachable
-            raise InsertionInfeasibleError(missing[0], route.sequence)
-        if limit is not None and route.length - 1 + 2 * max(dists)[0] > limit:
+        if dist == g.n or route.length - 1 + 2 * max(dists)[0] > limit:
             return None
         route = insert_missing(g, route, v, cset, limit=limit, memo=memo)
         if route is None:
             return None
 
 
-def _unclosable(g: Topology, path: tuple[int, ...], limit: int | None) -> bool:
+def _unclosable(g: Topology, path: tuple[int, ...], limit: int) -> bool:
     """True when closing path must give a cycle of more than limit links."""
-    return limit is not None and len(path) - 1 + g.hops[path[-1]][path[0]] > limit
+    return len(path) - 1 + g.hops[path[-1]][path[0]] > limit
 
 
 def _collect(g: Topology, seed: tuple[int, ...], cset: frozenset[int],
-             limit: int | None = None) -> tuple[int, ...] | None:
+             limit: int) -> tuple[int, ...] | None:
     """Grow the seed through the missing members, for closing afterwards.
 
     Each extension leg is a shortest edge-unused path to some missing
     member, densest in missing members first.  Closing early and
     splicing pays two hops per member; collecting on the way out often
-    beats that on dense graphs.  Given a limit, returns None once the
-    path cannot be closed within limit links.
+    beats that on dense graphs.  Returns None once some missing member
+    is unreachable or the path cannot be closed within limit links.
     """
     path, bits = tuple(seed), _walk_bits(g, seed)
     while missing := cset.difference(path):
@@ -464,7 +444,7 @@ def _collect(g: Topology, seed: tuple[int, ...], cset: frozenset[int],
             return None
         leg = _densest(g, path[-1], missing, bits)
         if leg is None:
-            raise NoReturnPathError(path)
+            return None
         path += leg[1][1:]
         bits |= leg[2]
     return path
@@ -479,17 +459,15 @@ def route_cycle(g: Topology, c: frozenset[int] | set[int],
     collect the members while extending and close last.  The shortest
     finished cycle wins (ties lexicographic), so one stubborn seed
     cannot drag the result far from optimal.  The walk is rotated so
-    the hub sits at both ends.  Each finish is bounded by the shortest
-    cycle so far: one that must come out longer stops early, while one
-    that may tie runs to the end, so the result is that of finishing
-    every seed in full.
+    the hub sits at both ends.  Each finish is bounded by the graph's
+    link count, then by the shortest cycle so far: one that must come
+    out longer stops early, while one that may tie runs to the end, so
+    the result is that of finishing every seed in full.
     """
     cset = frozenset(c)
     if not cset:
         raise ValueError("communication set is empty")
-    for v in cset:
-        if not 1 <= v <= g.n:
-            raise ValueError(f"member {v} out of range 1..{g.n}")
+    _check_nodes(g, cset, "member")
     if hub is None:
         hub = min(cset)
     if hub not in cset:
@@ -498,50 +476,38 @@ def route_cycle(g: Topology, c: frozenset[int] | set[int],
     if len(cset) == 1:
         seeds = [(hub, w) for w in g.adjacency[hub]]
     else:
-        seeds = []
-        for src in sorted(cset):
-            try:
-                seeds.append(ratio_bfs(g, src, cset))
-            except RoutingInfeasibleError:
-                continue
+        seeds = [path for src in sorted(cset)
+                 if (path := ratio_bfs(g, src, cset)) is not None]
         if not seeds:
             raise RoutingInfeasibleError(
                 f"members of {sorted(cset)} are mutually unreachable"
             )
         seeds.sort(key=lambda path: _rank(len(cset.intersection(path)), path))
 
-    last_error: RoutingError | None = None
+    limit = len(g.edges)
     best: tuple[int, tuple[int, ...]] | None = None
     memo: dict = {}
     for seed in seeds:
         for grow in (False, True):
-            limit = None if best is None else best[0]
-            try:
-                path = _collect(g, seed, cset, limit) if grow else seed
-                if path is None or _unclosable(g, path, limit):
-                    continue
-                route = close_cycle(g, path, cset, limit=limit)
-                if route is not None:
-                    route = _insert_all(g, route, cset, limit, memo)
-            except (NoReturnPathError, InsertionInfeasibleError) as exc:
-                # without its traceback: that holds this frame, memo and
-                # all, in a cycle only the cyclic collector would free
-                last_error = exc.with_traceback(None)
+            path = _collect(g, seed, cset, limit) if grow else seed
+            if path is None or _unclosable(g, path, limit):
                 continue
+            route = close_cycle(g, path, cset, limit=limit)
+            if route is not None:
+                route = _insert_all(g, route, cset, limit, memo)
             if route is None:
                 continue
             cand = (route.length, _rotate_to(route.sequence, hub))
             if best is None or cand < best:
                 best = cand
+                limit = route.length
     if best is not None:
         return CycleRoute(best[1])
 
     cut = _separating_bridges(g, cset)
     detail = f"; bridges separating the set: {cut}" if cut else ""
     raise RoutingInfeasibleError(
-        f"every seed failed for communication set {sorted(cset)}"
-        f" (last: {last_error}){detail}",
-    )
+        f"every seed failed for communication set {sorted(cset)}{detail}")
 
 
 def route_all(g: Topology, qs: QuorumSet, m: NodeMapping) -> tuple[CycleRoute, ...]:
@@ -556,12 +522,12 @@ def route_all(g: Topology, qs: QuorumSet, m: NodeMapping) -> tuple[CycleRoute, .
             f"size mismatch: topology n={g.n}, quorums n={qs.n}, mapping n={m.n}"
         )
     routes = []
-    failures: dict[int, RoutingError] = {}
+    failures: dict[int, RoutingInfeasibleError] = {}
     for i, quorum in enumerate(qs.quorums, start=1):
         cset = relabel(quorum, m)
         try:
             routes.append(route_cycle(g, cset, hub=m.apply(i)))
-        except RoutingError as exc:
+        except RoutingInfeasibleError as exc:
             failures[i] = exc
     if failures:
         summary = "; ".join(f"quorum {i}: {err}" for i, err in sorted(failures.items()))

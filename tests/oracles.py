@@ -354,13 +354,12 @@ def reference_route_cycle(g, cset, hub):
     This is the finishing loop as it ran before finishes were bounded by
     the best cycle so far.  Seeds and collect legs come from a plain
     full BFS here; closing and splicing are the library's close_cycle
-    and insert_missing without a limit, each refereed on its own.
+    and insert_missing under their default limit, the link count, each
+    refereed on its own.
     Returns the shortest (then lexicographically smallest) sequence
     rotated to start at hub, or None when every finish fails.
     """
-    from quorumcycles.routing import (InsertionInfeasibleError,
-                                      NoReturnPathError, close_cycle,
-                                      insert_missing)
+    from quorumcycles.routing import close_cycle, insert_missing
 
     adj = {v: g.adjacency[v] for v in g.nodes}
     members = frozenset(cset)
@@ -381,24 +380,21 @@ def reference_route_cycle(g, cset, hub):
 
     def finish(path):
         route = close_cycle(g, path, members)
-        while missing := members.difference(route.sequence):
+        while route and (missing := members.difference(route.sequence)):
             # nearest to the cycle first, ties by node id
             dist, v = min((min(bfs_distances(adj, m).get(u, g.n)
                                for u in route.sequence), m) for m in missing)
             if dist == g.n:
                 return None
             route = insert_missing(g, route, v, members)
-        return route.sequence
+        return route and route.sequence
 
     best = None
     for seed in seeds:
         for path in (seed, collect(seed)):
             if path is None:
                 continue
-            try:
-                seq = finish(path)
-            except (NoReturnPathError, InsertionInfeasibleError):
-                continue
+            seq = finish(path)
             if seq is None:
                 continue
             i = seq.index(hub)

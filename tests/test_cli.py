@@ -288,7 +288,15 @@ def test_simulate_excludes_unroutable_mappings(capsys, tmp_path):
         assert row["status"] == "excluded"
         assert row["scenarios"] == "0"
         assert row["mean_coverage"] == ""
-        assert row["detail"].startswith("RoutingInfeasibleError: ")
+
+    def detail(*csets):
+        return "RoutingInfeasibleError: 6 of 6 quorums could not be routed: " + "; ".join(
+            f"quorum {i}: every seed failed for communication set {cset}"
+            "; bridges separating the set: [(3, 4)]" for i, cset in enumerate(csets, 1))
+
+    assert [row["detail"] for row in rows] == [
+        detail([1, 2, 4], [2, 3, 5], [3, 4, 6], [1, 4, 5], [2, 5, 6], [1, 3, 6]),
+        detail([1, 3, 5], [2, 3, 6], [1, 2, 4], [1, 5, 6], [3, 4, 6], [2, 4, 5])]
     assert "mean coverage" not in err
 
 

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from quorumcycles import routing
 from quorumcycles.quorums import QuorumBase, bundled_base, generate_quorums
-from quorumcycles.routing import (CycleRoute, InsertionInfeasibleError,
-                                  NoReturnPathError, RoutingInfeasibleError,
+from quorumcycles.routing import (CycleRoute, RoutingInfeasibleError,
                                   close_cycle, insert_missing, ratio_bfs,
                                   route_all, route_cycle)
 from quorumcycles.topology import (NodeMapping, Topology, bundled_topology,
-                                   generate_mappings)
+                                   generate_mappings, parse_topology)
 
 from conftest import adjacency_dict
 from oracles import (all_c_paths, best_insertion, best_shortest_path,
@@ -109,8 +108,7 @@ def test_close_cycle_ring(ring5):
 
 def test_close_cycle_bridge_fails():
     g = graph(3, [(1, 2), (2, 3)])
-    with pytest.raises(NoReturnPathError):
-        close_cycle(g, (1, 2))
+    assert close_cycle(g, (1, 2)) is None
 
 
 def test_close_cycle_rejects_path_off_the_graph(square):
@@ -137,8 +135,7 @@ def test_insert_picks_earliest_replacement_on_ties(square):
 def test_insert_pendant_node_fails(triangle):
     g = graph(4, list(triangle.edges) + [(1, 4)])
     cycle = CycleRoute(sequence=(1, 2, 3, 1))
-    with pytest.raises(InsertionInfeasibleError):
-        insert_missing(g, cycle, 4)
+    assert insert_missing(g, cycle, 4) is None
 
 
 @settings(max_examples=150, deadline=None)
@@ -156,9 +153,8 @@ def test_insert_is_strictly_longer_and_valid(seed):
     if not missing:
         return
     v = missing[0]
-    try:
-        grown = insert_missing(g, cycle, v)
-    except InsertionInfeasibleError:
+    grown = insert_missing(g, cycle, v)
+    if grown is None:
         return
     assert grown.length > cycle.length
     assert v in grown.nodes
@@ -176,17 +172,15 @@ def test_insert_matches_scan_of_every_position():
         g = graph(n, random_connected_graph(rng, n, rng.randrange(0, n)))
         size = rng.randrange(2, min(n, 6) + 1)
         cset = frozenset(rng.sample(range(1, n + 1), size))
-        try:
-            cycle = close_cycle(g, ratio_bfs(g, min(cset), cset), cset)
-        except NoReturnPathError:
+        cycle = close_cycle(g, ratio_bfs(g, min(cset), cset), cset)
+        if cycle is None:
             continue
         adj = adjacency_dict(g)
         seq = cycle.sequence
         for v in sorted(set(g.nodes) - cycle.nodes):
             expected = best_insertion(adj, seq, v, cset)
             if expected is None:
-                with pytest.raises(InsertionInfeasibleError):
-                    insert_missing(g, cycle, v, cset)
+                assert insert_missing(g, cycle, v, cset) is None
                 outcomes["infeasible"] += 1
                 continue
             _, pos, det = expected
@@ -210,10 +204,7 @@ def test_insert_memo_answers_as_a_fresh_search(monkeypatch):
     monkeypatch.setattr(routing, "_detour", counting)
 
     def inserted(*args, **kwargs):
-        try:
-            route = insert_missing(*args, **kwargs)
-        except InsertionInfeasibleError:
-            return "infeasible"
+        route = insert_missing(*args, **kwargs)
         return route and route.sequence
 
     rng = random.Random(20261020)
@@ -223,9 +214,8 @@ def test_insert_memo_answers_as_a_fresh_search(monkeypatch):
         n = rng.randrange(5, 15)
         g = graph(n, random_connected_graph(rng, n, rng.randrange(0, n)))
         cset = frozenset(rng.sample(range(1, n + 1), rng.randrange(2, min(n, 5) + 1)))
-        try:
-            cycle = close_cycle(g, ratio_bfs(g, min(cset), cset), cset)
-        except NoReturnPathError:
+        cycle = close_cycle(g, ratio_bfs(g, min(cset), cset), cset)
+        if cycle is None:
             continue
         back = CycleRoute(sequence=cycle.sequence[::-1])
         for v in sorted(set(g.nodes) - cycle.nodes):
@@ -257,9 +247,8 @@ def test_tree_legs_and_detours_match_oracle():
         g = graph(n, random_connected_graph(rng, n, rng.randrange(0, n)))
         size = rng.randrange(2, min(n, 6) + 1)
         cset = frozenset(rng.sample(range(1, n + 1), size))
-        try:
-            cycle = close_cycle(g, ratio_bfs(g, min(cset), cset), cset)
-        except NoReturnPathError:
+        cycle = close_cycle(g, ratio_bfs(g, min(cset), cset), cset)
+        if cycle is None:
             continue
         adj = adjacency_dict(g)
         seq = cycle.sequence
@@ -282,7 +271,8 @@ def test_tree_legs_and_detours_match_oracle():
                     assert leg[2] == routing._walk_bits(g, leg[1])
                 seen["legs"] += 1
                 seen["overlap" if got[0][2] & got[1][2] else "disjoint"] += 1
-                det = routing._detour(g, *got, cycle_bits ^ g.link_bits[a][b], cset)
+                det = routing._detour(g, *got, cycle_bits ^ g.link_bits[a][b],
+                                      cset, len(g.edges))
                 assert det == detour_walk(adj, a, v, b, banned, cset), (g.edges, seq, v)
     assert min(seen.values()) >= 20, seen
 
@@ -360,12 +350,13 @@ def test_route_cycle_across_bridge_fails():
     g = graph(6, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
     with pytest.raises(RoutingInfeasibleError) as info:
         route_cycle(g, {1, 5})
-    assert str(info.value).endswith("; bridges separating the set: [(3, 4)]")
+    assert str(info.value) == ("every seed failed for communication set [1, 5]"
+                               "; bridges separating the set: [(3, 4)]")
 
 
 def test_route_cycle_leaves_no_cyclic_garbage():
-    # some seeds of this route fail; their kept error must not tie the
-    # call's frame, insertion memo and all, into a reference cycle
+    # some finishes of this route fail; nothing the call leaves behind may
+    # tie its frame, insertion memo and all, into a reference cycle
     g = graph(6, [(1, 2), (1, 3), (1, 6), (2, 3), (2, 5), (3, 6), (4, 5), (4, 6)])
     gc.collect()
     gc.disable()
@@ -374,6 +365,19 @@ def test_route_cycle_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("stage,args", [
+    (ratio_bfs, (-1, {-1, 2})), (ratio_bfs, (5, {5, 2})), (ratio_bfs, (1, {1, 9})),
+    (close_cycle, ((-1, 3),)), (insert_missing, (CycleRoute((1, 2, 3, 1)), -1)),
+    (insert_missing, (CycleRoute((1, 2, 3, 1)), 5)), (route_cycle, ({0, 2},))],
+    ids=lambda x: x.__name__ if callable(x) else repr(x))
+def test_stages_reject_node_ids_off_the_graph(stage, args):
+    # -1 would alias node 4 through negative indexing, 5 and 9 run off the
+    # tables; each stage names the bad id instead
+    g = parse_topology("n 4\n1 2\n2 3\n3 4\n1 4\n1 3\n")
+    with pytest.raises(ValueError, match=r"out of range 1\.\.4"):
+        stage(g, *args)
 
 
 def test_route_cycle_deterministic(k4):
