@@ -17,10 +17,12 @@ or first extend it through the missing members (_collect) and close it
 last.  Every finish runs under one int bound on the cycle's links:
 the graph's link count, since no edge-distinct walk has more, and then
 the shortest cycle found so far.  Each stage returns None once nothing
-fits under the bound; the shortest cycle wins.  Seeds often close the
-same cycle, so the finishes of one route_cycle call share each
-off-cycle search and detour of insert_missing, keyed by the cycle's
-links and the member spliced in.
+fits under the bound; the shortest cycle wins.  A two-member set also
+gets its exact shortest cycle from the disjoint module, which replaces
+the heuristic's only when shorter.  Seeds often close the same cycle,
+so the finishes of one route_cycle call share each off-cycle search
+and detour of insert_missing, keyed by the cycle's links and the
+member spliced in.
 
 Ties everywhere break deterministically (fewer hops, then lexicographic
 node sequence) so routing is reproducible.
@@ -458,7 +460,8 @@ def route_cycle(g: Topology, c: frozenset[int] | set[int],
     ways: close the cycle early and splice missing members in, or
     collect the members while extending and close last.  The shortest
     finished cycle wins (ties lexicographic), so one stubborn seed
-    cannot drag the result far from optimal.  The walk is rotated so
+    cannot drag the result far from optimal; for two members, the exact
+    disjoint.pair_cycle wins where it is shorter.  The walk is rotated so
     the hub sits at both ends.  Each finish is bounded by the graph's
     link count, then by the shortest cycle so far: one that must come
     out longer stops early, while one that may tie runs to the end, so
@@ -501,6 +504,10 @@ def route_cycle(g: Topology, c: frozenset[int] | set[int],
             if best is None or cand < best:
                 best = cand
                 limit = route.length
+    if len(cset) == 2:
+        # loaded here, so routing larger sets never compiles it
+        from .disjoint import shorter_pair
+        best = shorter_pair(g, cset, hub, best)
     if best is not None:
         return CycleRoute(best[1])
 

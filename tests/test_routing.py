@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quorumcycles import routing
+from quorumcycles.disjoint import pair_cycle
 from quorumcycles.quorums import QuorumBase, bundled_base, generate_quorums
 from quorumcycles.routing import (CycleRoute, RoutingInfeasibleError,
                                   close_cycle, insert_missing, ratio_bfs,
@@ -404,6 +405,40 @@ def test_route_cycle_near_optimal_on_random_graphs(seed):
     assert optimum is not None
     assert_valid_cycle(cycle, g, cset)
     assert cycle.length <= 1.2 * optimum, (seed, cycle.sequence, optimum)
+
+
+@pytest.mark.parametrize("edges,cset,expected", [
+    # closing the shortest 1-5 path 1-7-3-5 takes 5 more links, 8 in all
+    ([(1, 7), (1, 8), (2, 7), (2, 8), (3, 5), (3, 7), (3, 8), (4, 5), (4, 6), (4, 7)],
+     {1, 5}, (1, 7, 4, 5, 3, 8, 1)),
+    # the shortest 4-5 path 4-1-3-5 leaves no return path at all
+    ([(1, 3), (1, 4), (1, 6), (1, 8), (2, 3), (2, 4), (3, 5), (5, 7), (6, 7), (7, 8)],
+     {4, 5}, (4, 1, 6, 7, 5, 3, 2, 4)),
+], ids=["longer", "unclosable"])
+def test_route_cycle_pair_reroutes_its_shortest_path(edges, cset, expected):
+    assert route_cycle(graph(8, edges), cset).sequence == expected
+
+
+def test_route_cycle_pairs_are_shortest():
+    rng = random.Random(20261019)
+    outcomes = {"routed": 0, "infeasible": 0}
+    for _ in range(400):
+        n = rng.randrange(3, 11)
+        g = graph(n, random_connected_graph(rng, n, rng.randrange(0, n + 1)))
+        cset = frozenset(rng.sample(range(1, n + 1), 2))
+        optimum = minimal_cycle_length(adjacency_dict(g), cset)
+        pair = pair_cycle(g, *sorted(cset))
+        try:
+            cycle = route_cycle(g, cset, max(cset))
+        except RoutingInfeasibleError:
+            cycle = None
+        for got in (cycle, pair and CycleRoute(pair)):
+            if got is not None:
+                assert_valid_cycle(got, g, cset)
+            assert (got and got.length) == optimum, (g.edges, sorted(cset), got)
+        assert cycle is None or cycle.hub == max(cset)
+        outcomes["routed" if cycle else "infeasible"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_route_cycle_equals_unbounded_reference(monkeypatch):
