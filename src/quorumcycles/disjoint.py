@@ -3,7 +3,8 @@
 Such a walk is a pair of link-disjoint paths between the two nodes, so
 two shortest-path searches find the shortest one: the second runs in
 the residual graph of the first.  routing.route_cycle imports this
-module only when it routes a two-member set.
+module only when it routes a two-member set, and takes the walk's
+length as the first bound on its finishes.
 """
 
 from __future__ import annotations
@@ -67,15 +68,3 @@ def pair_cycle(g: Topology, a: int, b: int) -> tuple[int, ...] | None:
         while leg[-1] != b:
             leg.append(out[leg[-1]].pop())
     return tuple(legs[0] + legs[1][-2::-1])
-
-
-def shorter_pair(g: Topology, cset: frozenset[int], hub: int,
-                 best: tuple[int, tuple[int, ...]] | None
-                 ) -> tuple[int, tuple[int, ...]] | None:
-    """route_cycle's best (links, walk from hub) for a two-member cset,
-    replaced by the pair cycle from hub only where that is shorter."""
-    (other,) = cset - {hub}
-    pair = pair_cycle(g, hub, other)
-    if pair is None or best is not None and len(pair) > best[0]:
-        return best
-    return len(pair) - 1, pair

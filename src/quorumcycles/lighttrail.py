@@ -46,6 +46,8 @@ class DeploymentPlan:
     def __post_init__(self):
         # a plain string would otherwise fail every `is TrailMode...` test
         object.__setattr__(self, "mode", TrailMode(self.mode))
+        # a kept list would leave the frozen value unhashable
+        object.__setattr__(self, "cycles", tuple(self.cycles))
         for cycle in self.cycles:
             for v in cycle.sequence:
                 if not 1 <= v <= self.n:

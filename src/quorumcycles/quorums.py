@@ -235,10 +235,11 @@ class _LevelBudgetUp(Exception):
 
 def _search_level(n: int, r: int, k_hat: int, counter: list[int],
                   max_nodes: int | None) -> tuple[int, ...] | None:
-    """Exhaustive lexicographic DFS at one base size.
+    """Exhaustive lexicographic DFS at one base size k_hat.
 
-    Returns the lexicographically smallest valid base, or None when the
-    level is exhausted.  Raises _LevelBudgetUp when the node budget dies
+    k_hat >= search_floor(n, r), so the root needs no prune.  Returns the
+    lexicographically smallest valid base, or None when the level is
+    exhausted.  Raises _LevelBudgetUp when the node budget dies
     mid-level.  counter[0] gains one per candidate x tried, counted
     before the budget check.  The first slot tries only x = 2: a valid
     base covers class 1 by some pair {s, s+1} (maybe {n, 1}); rotated
@@ -280,12 +281,10 @@ def _search_level(n: int, r: int, k_hat: int, counter: list[int],
 
     def finish(fwd, need0, need1, deficit, last):
         nonlocal nodes
-        # x clears at most one unit per member; need[2] is empty iff
-        # need0 and need1 hold the whole deficit
+        # need[2] is empty iff need0 and need1 hold the whole deficit
         top = n if last > 1 else 2      # the first slot is pinned to 2
         ok = 0
-        if (deficit < k_hat
-                and deficit == need0.bit_count() + need1.bit_count()):
+        if deficit == need0.bit_count() + need1.bit_count():
             ok = (2 << top) - 1 >> (last + 1) << (last + 1)
             while need0 and ok:
                 c = (need0 & -need0).bit_length() - 1
@@ -335,13 +334,10 @@ def _search_level(n: int, r: int, k_hat: int, counter: list[int],
                 return found
         return None
 
-    rest = k_hat - 1
-    if deficit > rest + rest * (rest - 1) // 2:
-        return None
     try:
-        if rest == 1:
+        if k_hat == 2:
             return finish(1 << 1, need[0], need[1], deficit, 1)
-        return extend(1 << 1, 1 << (n - 1), need, deficit, 1, rest)
+        return extend(1 << 1, 1 << (n - 1), need, deficit, 1, k_hat - 1)
     finally:
         counter[0] = nodes
 

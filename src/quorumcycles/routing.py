@@ -14,15 +14,15 @@ heuristic pipeline:
 route_cycle runs this from every member's seed path and finishes each
 seed two ways: close it first and splice the rest in (steps 2 and 3),
 or first extend it through the missing members (_collect) and close it
-last.  Every finish runs under one int bound on the cycle's links:
-the graph's link count, since no edge-distinct walk has more, and then
-the shortest cycle found so far.  Each stage returns None once nothing
-fits under the bound; the shortest cycle wins.  A two-member set also
-gets its exact shortest cycle from the disjoint module, which replaces
-the heuristic's only when shorter.  Seeds often close the same cycle,
-so the finishes of one route_cycle call share each off-cycle search
-and detour of insert_missing, keyed by the cycle's links and the
-member spliced in.
+last.  Every finish runs under one int bound on the cycle's links,
+first the graph's link count, since no edge-distinct walk has more,
+then the shortest cycle found so far.  For a two-member set the first
+bound is the exact shortest cycle's length, from the disjoint module;
+that walk is the result only when no finish fits.  Each stage returns
+None once nothing fits under the bound; the shortest cycle wins.
+Seeds often close the same cycle, so the finishes of one route_cycle
+call share each off-cycle search and detour of insert_missing, keyed
+by the cycle's links and the member spliced in.
 
 Ties everywhere break deterministically (fewer hops, then lexicographic
 node sequence) so routing is reproducible.
@@ -460,12 +460,13 @@ def route_cycle(g: Topology, c: frozenset[int] | set[int],
     ways: close the cycle early and splice missing members in, or
     collect the members while extending and close last.  The shortest
     finished cycle wins (ties lexicographic), so one stubborn seed
-    cannot drag the result far from optimal; for two members, the exact
-    disjoint.pair_cycle wins where it is shorter.  The walk is rotated so
+    cannot drag the result far from optimal.  The walk is rotated so
     the hub sits at both ends.  Each finish is bounded by the graph's
     link count, then by the shortest cycle so far: one that must come
     out longer stops early, while one that may tie runs to the end, so
-    the result is that of finishing every seed in full.
+    the result is that of finishing every seed in full.  Two members
+    start from the bound of disjoint.pair_cycle's exact walk from the
+    hub, which a finish as short beats; with no such walk none fits.
     """
     cset = frozenset(c)
     if not cset:
@@ -487,7 +488,13 @@ def route_cycle(g: Topology, c: frozenset[int] | set[int],
             )
         seeds.sort(key=lambda path: _rank(len(cset.intersection(path)), path))
 
-    limit = len(g.edges)
+    limit, pair = len(g.edges), None
+    if len(cset) == 2:
+        # loaded here, so routing larger sets never compiles it
+        from .disjoint import pair_cycle
+        pair = pair_cycle(g, hub, max(cset - {hub}))
+        # its exact length is the first bound; without a pair none fits
+        limit = -1 if pair is None else len(pair) - 1
     best: tuple[int, tuple[int, ...]] | None = None
     memo: dict = {}
     for seed in seeds:
@@ -504,12 +511,9 @@ def route_cycle(g: Topology, c: frozenset[int] | set[int],
             if best is None or cand < best:
                 best = cand
                 limit = route.length
-    if len(cset) == 2:
-        # loaded here, so routing larger sets never compiles it
-        from .disjoint import shorter_pair
-        best = shorter_pair(g, cset, hub, best)
-    if best is not None:
-        return CycleRoute(best[1])
+    walk = pair if best is None else best[1]
+    if walk is not None:
+        return CycleRoute(walk)
 
     cut = _separating_bridges(g, cset)
     detail = f"; bridges separating the set: {cut}" if cut else ""

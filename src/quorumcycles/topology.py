@@ -80,6 +80,8 @@ class Topology:
         return 1 <= u <= self.n and v in self.link_bits[u]
 
     def degree(self, v: int) -> int:
+        if not 1 <= v <= self.n:
+            raise ValueError(f"node {v} out of range 1..{self.n}")
         return len(self.link_bits[v])
 
 
@@ -230,6 +232,8 @@ class NodeMapping:
     perm: tuple[int, ...]
 
     def __post_init__(self):
+        # a kept list would leave the frozen value unhashable
+        object.__setattr__(self, "perm", tuple(self.perm))
         if sorted(self.perm) != list(range(1, len(self.perm) + 1)):
             raise ValueError("perm must be a permutation of 1..n")
 
@@ -238,6 +242,8 @@ class NodeMapping:
         return len(self.perm)
 
     def apply(self, node: int) -> int:
+        if not 1 <= node <= len(self.perm):
+            raise ValueError(f"node {node} out of range 1..{len(self.perm)}")
         return self.perm[node - 1]
 
     @classmethod

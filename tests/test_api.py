@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import quorumcycles
+from quorumcycles import CycleRoute, DeploymentPlan, NodeMapping, TrailMode
 
 PACKAGE = Path(quorumcycles.__file__).parent
 
@@ -34,3 +35,13 @@ def test_import_leaves_numpy_unloaded():
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert proc.stdout == "False\n"
+
+
+def test_frozen_values_hold_tuples_given_lists():
+    # a kept list would leave the value unhashable
+    route = CycleRoute(sequence=(1, 2, 3, 1))
+    mapping = NodeMapping(perm=[2, 3, 4, 1])
+    plan = DeploymentPlan(n=4, mode=TrailMode.SINGLE, cycles=[route])
+    for value in (mapping, plan):
+        hash(value)
+    assert mapping.perm == (2, 3, 4, 1) and plan.cycles == (route,)

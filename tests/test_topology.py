@@ -205,6 +205,16 @@ def test_mapping_apply_and_identity():
     assert NodeMapping.identity(4).perm == (1, 2, 3, 4)
 
 
+@pytest.mark.parametrize("v", [0, -1, 5])
+@pytest.mark.parametrize("lookup", ["apply", "degree"])
+def test_node_lookups_reject_ids_outside_range(lookup, v):
+    # ids below 1 used to read the wrong entry instead of raising
+    target = (NodeMapping((2, 3, 4, 1)) if lookup == "apply"
+              else parse_topology("n 4\n1 2\n2 3\n3 4\n1 4\n"))
+    with pytest.raises(ValueError, match=f"^node {v} out of range 1..4$"):
+        getattr(target, lookup)(v)
+
+
 def test_relabel_identity_and_swap():
     ident = NodeMapping.identity(5)
     assert relabel({1, 2}, ident) == {1, 2}
