@@ -7,7 +7,8 @@ intervals, and renders result rows as an aligned table, csv or json.
 The unit of replication is the node mapping: every metric is computed
 per mapping first and the interval is taken across mappings.
 `route_mappings` is the per-mapping unit of work; `report` and the
-cli's `simulate` both route their mappings through it.
+cli's `simulate` both route their mappings through it, side by side in
+forked worker processes, one per available CPU by default.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from math import sqrt
 from pathlib import Path
 from statistics import fmean, stdev
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .faultsim import enumerate_faults, evaluate
 from .lighttrail import (DeploymentPlan, FaultModel, TrailMode, links_used,
@@ -222,21 +223,189 @@ def _resolve_base(n: int, r: int, base_files: dict[int, str]) -> QuorumBase:
 
 
 def route_mappings(g: Topology, qs: QuorumSet, mappings: Sequence[NodeMapping],
-                   ) -> Iterator[tuple[CycleRoute, ...] | RoutingInfeasibleError]:
+                   *, jobs: int | None = None,
+                   ) -> list[tuple[CycleRoute, ...] | RoutingInfeasibleError]:
     """Per mapping, in order: its routed cycles, or the error excluding it.
 
     Only RoutingInfeasibleError excludes a mapping; any other exception
-    is a fault in the program and propagates.
+    is a fault in the program and propagates.  Mapping i is routed by
+    worker i % jobs; jobs=None means one worker per available CPU, and
+    the count is capped by the CPUs and by the mappings.  The caller
+    routes share 0 and forks the other workers, unless it runs other
+    threads.  The result, and which exception propagates, never depends
+    on jobs.
     """
-    for m in mappings:
+    # call-time imports, as on the forked path, so that importing this
+    # module stays as cheap as it is
+    import os
+    import sys
+    if jobs is not None and (type(jobs) is not int or jobs < 1):
+        raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(jobs or cpus, cpus, len(mappings))
+    # a child forked beside another thread may inherit a lock held forever
+    threading = sys.modules.get("threading")
+    threaded = threading is not None and threading.active_count() > 1
+
+    def route(m: NodeMapping):
         try:
-            yield route_all(g, qs, m)
+            return route_all(g, qs, m)
         except RoutingInfeasibleError as exc:
-            yield exc
+            return exc
+
+    if workers <= 1 or threaded or not hasattr(os, "fork"):
+        return [route(m) for m in mappings]
+    return _route_forked(route, mappings, workers)
 
 
-def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
-    """All result rows for one spec; deterministic given the spec."""
+def _route_forked(route, mappings: Sequence[NodeMapping], workers: int) -> list:
+    """route_mappings' result, mapping i routed by worker i % workers.
+
+    This process is worker 0 and forks the others.  Each child sends its
+    share back through a pipe and leaves by os._exit, so it never flushes
+    the caller's stdio or runs exit handlers.  Every child is read and
+    waited for, even when this process's own share raises.  Of the
+    exceptions raised, the one of the lowest mapping propagates.
+    """
+    import marshal
+    import os
+
+    shares = [None] * workers
+    pipes, pids = {}, {}
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _child(route, mappings, k, workers, (r, w), pipes.values())
+            os.close(w)
+            pipes[k], pids[k] = open(r, "rb"), pid
+        shares[0] = _run_share(route, mappings, 0, workers, Exception)
+    finally:
+        data, status = {}, {}
+        try:
+            for k, pipe in pipes.items():
+                data[k] = pipe.read()
+        finally:
+            # a child blocked on an unread pipe gets EPIPE and exits
+            for pipe in pipes.values():
+                pipe.close()
+            for k, pid in pids.items():
+                status[k] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for k, pid in pids.items():
+        if status[k] != 0 or not data[k]:
+            shares[k] = None, k, RuntimeError(
+                f"worker {pid} exited with status {status[k]} "
+                "before sending a result")
+            continue
+        plain, index, pickled = marshal.loads(data[k])
+        if pickled is None:
+            shares[k] = list(map(_routed_from_plain, plain)), None, None
+        else:
+            import pickle
+            shares[k] = None, index, pickle.loads(pickled)
+
+    failed = [(index, exc) for _, index, exc in shares if exc is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    out = [None] * len(mappings)
+    for k, (results, _, _) in enumerate(shares):
+        out[k::workers] = results
+    return out
+
+
+def _child(route, mappings: Sequence[NodeMapping], k: int, step: int,
+           pipe: tuple[int, int], inherited) -> None:
+    """Worker k's whole life after the fork: send its share, never return.
+
+    It closes the read ends it holds, its own and the earlier workers',
+    so a parent that stops reading makes a child's write fail at once.
+    """
+    import os
+    r, w = pipe
+    code = 1
+    try:
+        os.close(r)
+        for other in inherited:
+            other.close()
+        payload = _share_payload(
+            _run_share(route, mappings, k, step, BaseException))
+        with open(w, "wb") as out:
+            out.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_share(route, mappings: Sequence[NodeMapping], k: int, step: int,
+               catch: type) -> tuple:
+    """(results, None, None) for mappings k, k + step, ...; on an
+    exception of type catch, (None, the mapping's index, the exception)."""
+    results = []
+    try:
+        for m in mappings[k::step]:
+            results.append(route(m))
+    except catch as exc:
+        return None, k + step * len(results), exc
+    return results, None, None
+
+
+def _share_payload(share: tuple) -> bytes:
+    """A worker's share as marshal bytes: routes and exclusions as plain
+    tuples, or the exception pickled.
+
+    marshal is built in, and pickle costs a routed run resident memory
+    (about 0.4 MB), so pickle is imported only for an exception.  One
+    that does not survive the pickle round trip is sent as a
+    RuntimeError naming its type and message, its traceback as a note.
+    """
+    import marshal
+    results, index, exc = share
+    if exc is None:
+        return marshal.dumps((list(map(_plain_routed, results)), None, None))
+    import pickle
+    try:
+        pickled = pickle.dumps(exc)
+        pickle.loads(pickled)
+    except Exception:
+        import traceback
+        plain = RuntimeError(f"{type(exc).__qualname__}: {exc}")
+        plain.add_note("".join(traceback.format_exception(exc)))
+        pickled = pickle.dumps(plain)
+    return marshal.dumps((None, index, pickled))
+
+
+def _plain_routed(routed):
+    """A mapping's cycles as a tuple of node sequences, or its exclusion
+    as a list [message, {quorum: plain failure}]."""
+    if isinstance(routed, RoutingInfeasibleError):
+        return [str(routed), {i: _plain_routed(e)
+                              for i, e in routed.failures.items()}]
+    return tuple(c.sequence for c in routed)
+
+
+def _routed_from_plain(plain):
+    if isinstance(plain, list):
+        message, failures = plain
+        return RoutingInfeasibleError(message, {
+            i: _routed_from_plain(e) for i, e in failures.items()})
+    return tuple(map(CycleRoute, plain))
+
+
+def run_experiment(spec: ExperimentSpec, *, jobs: int | None = None,
+                   ) -> list[ResultRow]:
+    """All result rows for one spec; deterministic given the spec.
+
+    jobs is route_mappings' worker count; the rows never depend on it.
+    """
     if spec.topology in BUNDLED:
         g = bundled_topology(spec.topology)
     else:
@@ -254,7 +423,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             raise ExperimentError(
                 f"{spec.network} r={r}: no usable quorum base ({exc})"
             ) from exc
-        routed = list(route_mappings(g, generate_quorums(base), mappings))
+        routed = route_mappings(g, generate_quorums(base), mappings, jobs=jobs)
         cycle_lists = [c for c in routed if isinstance(c, tuple)]
         excluded = len(routed) - len(cycle_lists)
         if len(cycle_lists) < 2:

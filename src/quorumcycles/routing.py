@@ -60,6 +60,8 @@ class CycleRoute:
     sequence: tuple[int, ...]
 
     def __post_init__(self):
+        # a kept list would leave the frozen value unhashable
+        object.__setattr__(self, "sequence", tuple(self.sequence))
         seq = self.sequence
         if len(seq) < 4:
             raise ValueError(f"cycle needs at least 3 edges, got {list(seq)}")

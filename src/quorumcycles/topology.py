@@ -50,6 +50,10 @@ class Topology:
     n: int
     edges: tuple[Edge, ...]
 
+    def __post_init__(self):
+        # a kept list would leave the frozen value unhashable
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
+
     @cached_property
     def link_bits(self) -> tuple[dict[int, int], ...]:
         """link_bits[u][w] is 1 << i for the link edges[i] joining u and w.

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from quorumcycles import report
+from quorumcycles import cli, report
 from quorumcycles.routing import RoutingInfeasibleError
 from quorumcycles.topology import Topology
 
@@ -34,15 +34,24 @@ def ring5():
 
 @pytest.fixture
 def second_mapping_unroutable(monkeypatch):
-    """report.route_all, except that the second call of a run is refused."""
-    real, calls = report.route_all, []
+    """report.route_all, except that the second mapping of the run's
+    ensemble is refused, by value, in whichever worker routes it."""
+    real_route, real_generate = report.route_all, report.generate_mappings
+    refused, calls = [], []
+
+    def generate_mappings(n, count, seed):
+        mappings = real_generate(n, count, seed)
+        refused[:] = mappings[1:2]
+        return mappings
 
     def route_all(g, qs, m):
         calls.append(m)
-        if len(calls) == 2:
+        if m in refused:
             raise RoutingInfeasibleError("forced")
-        return real(g, qs, m)
+        return real_route(g, qs, m)
 
+    for module in (report, cli):
+        monkeypatch.setattr(module, "generate_mappings", generate_mappings)
     monkeypatch.setattr(report, "route_all", route_all)
     return calls
 

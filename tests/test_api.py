@@ -7,7 +7,8 @@ import sys
 from pathlib import Path
 
 import quorumcycles
-from quorumcycles import CycleRoute, DeploymentPlan, NodeMapping, TrailMode
+from quorumcycles import (CycleRoute, DeploymentPlan, NodeMapping, Topology,
+                          TrailMode)
 
 PACKAGE = Path(quorumcycles.__file__).parent
 
@@ -39,9 +40,12 @@ def test_import_leaves_numpy_unloaded():
 
 def test_frozen_values_hold_tuples_given_lists():
     # a kept list would leave the value unhashable
-    route = CycleRoute(sequence=(1, 2, 3, 1))
+    route = CycleRoute(sequence=[1, 2, 3, 1])
     mapping = NodeMapping(perm=[2, 3, 4, 1])
     plan = DeploymentPlan(n=4, mode=TrailMode.SINGLE, cycles=[route])
-    for value in (mapping, plan):
+    topology = Topology(n=3, edges=[[1, 2], [1, 3], [2, 3]])
+    for value in (route, mapping, plan, topology):
         hash(value)
+    assert route.sequence == (1, 2, 3, 1)
     assert mapping.perm == (2, 3, 4, 1) and plan.cycles == (route,)
+    assert topology.edges == ((1, 2), (1, 3), (2, 3))

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -321,7 +322,21 @@ def test_simulate_excludes_only_the_unroutable_mapping(
     topo, base = tri_files
     code, out, err = run(capsys, "simulate", "--topology", topo,
                          "--base-file", base, "--mode", "paired",
-                         "--faults", "1", "--mappings", "3")
+                         "--faults", "1", "--mappings", "3", "--jobs", "1")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(row["status"], row["detail"]) for row in rows] == [
+        ("ok", ""), ("excluded", "RoutingInfeasibleError: forced"),
+        ("ok", "")]
+    assert "(1 excluded)" in err
+
+
+def test_simulate_excludes_only_the_unroutable_mapping_in_two_workers(
+        capsys, tri_files, second_mapping_unroutable):
+    topo, base = tri_files
+    code, out, err = run(capsys, "simulate", "--topology", topo,
+                         "--base-file", base, "--mode", "paired",
+                         "--faults", "1", "--mappings", "3", "--jobs", "2")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [(row["status"], row["detail"]) for row in rows] == [
@@ -490,6 +505,62 @@ def test_report_demo_csv_pinned(capsys):
                        "--format", "csv")
     assert code == 0
     assert sha256(out.encode()) == REPORT_DEMO_CSV_PIN
+
+
+def test_report_demo_csv_is_the_same_in_one_and_two_workers(capsys):
+    outs = [run(capsys, "report", "--spec-file",
+                str(REPO / "experiments/nsfnet_demo.json"),
+                "--format", "csv", "--jobs", jobs) for jobs in ("1", "2")]
+    assert outs[0][0] == 0
+    assert outs[0] == outs[1]
+
+
+def test_simulate_outputs_are_the_same_in_one_and_two_workers(capsys,
+                                                               tmp_path):
+    outputs = []
+    for jobs in ("1", "2"):
+        dump = tmp_path / f"samples{jobs}.jsonl"
+        code, out, err = run(
+            capsys, "simulate", "--topology", "nsfnet",
+            "--base-file", str(REPO / "src/quorumcycles/data/bases/n14_r3.json"),
+            "--mode", "single", "--faults", "1", "--mappings", "4",
+            "--seed", "3", "--dump-samples", str(dump), "--jobs", jobs)
+        assert code == 0
+        outputs.append((out, err, dump.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--topology", "nsfnet", "--base-file", "unused.json",
+     "--mode", "single", "--faults", "1", "--mappings", "2"],
+    ["report", "--spec-file", "unused.json"],
+])
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_jobs_below_one_exits_2(capsys, command, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--jobs", jobs])
+    assert exc.value.code == 2
+    assert "argument --jobs" in capsys.readouterr().err
+
+
+def test_jobs_are_capped_by_mappings_and_cpus(capsys, monkeypatch, tri_files):
+    # with 3 mappings even a broken cpu cap forks at most 2 workers
+    real, forks = os.fork, []
+
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    topo, base = tri_files
+    code, out, _ = run(capsys, "simulate", "--topology", topo,
+                       "--base-file", base, "--mode", "paired",
+                       "--faults", "1", "--mappings", "3", "--jobs", "64")
+    assert code == 0
+    assert len(out.splitlines()) == 4
+    assert len(forks) == min(len(os.sched_getaffinity(0)), 3) - 1
 
 
 def test_report_format_outside_formats_exits_2(capsys):

@@ -1,6 +1,9 @@
 """Statistics, experiment orchestration, and output rendering."""
 
 import json
+import os
+import pickle
+import threading
 from pathlib import Path
 
 import pytest
@@ -14,8 +17,14 @@ from quorumcycles import (
     InsufficientSamplesError,
     QuorumBase,
     ResultRow,
+    RoutingInfeasibleError,
+    Topology,
     TrailMode,
+    bundled_base,
+    bundled_topology,
     emit,
+    generate_mappings,
+    generate_quorums,
     load_experiment_spec,
     mean_ci,
     parse_rows_csv,
@@ -26,6 +35,8 @@ from quorumcycles import (
 from quorumcycles import report
 
 from oracles import mean_interval
+
+CPUS = len(os.sched_getaffinity(0))
 
 
 # ---------------------------------------------------------------- mean_ci
@@ -326,8 +337,15 @@ def test_run_experiment_base_programming_error_propagates(tmp_path,
 
 def test_run_experiment_counts_excluded_mapping(tmp_path,
                                                second_mapping_unroutable):
-    rows = run_experiment(tri_spec(tmp_path))
+    rows = run_experiment(tri_spec(tmp_path), jobs=1)
     assert len(second_mapping_unroutable) == 3
+    assert len(rows) == 8
+    assert {(r.n, r.excluded) for r in rows} == {(2, 1)}
+
+
+def test_run_experiment_counts_excluded_mapping_in_two_workers(
+        tmp_path, second_mapping_unroutable):
+    rows = run_experiment(tri_spec(tmp_path), jobs=2)
     assert len(rows) == 8
     assert {(r.n, r.excluded) for r in rows} == {(2, 1)}
 
@@ -359,6 +377,146 @@ def test_run_experiment_unroutable_topology(tmp_path):
     spec = tri_spec(tmp_path, topology=str(tmp_path / "path.txt"))
     with pytest.raises(ExperimentError):
         run_experiment(spec)
+
+
+# ---------------------------------------------------------- route_mappings
+
+@pytest.fixture
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def tri_inputs(count=4):
+    return (Topology(n=3, edges=((1, 2), (1, 3), (2, 3))),
+            generate_quorums(QuorumBase(n=3, r=1, members=(1, 2))),
+            generate_mappings(3, count, 1))
+
+
+def fail_for(monkeypatch, bad: dict):
+    """report.route_all, raising bad[i] for mapping i of tri_inputs."""
+    real, mappings = report.route_all, tri_inputs()[2]
+
+    def route_all(g, qs, m):
+        for i, exc in bad.items():
+            if m == mappings[i]:
+                raise exc
+        return real(g, qs, m)
+
+    monkeypatch.setattr(report, "route_all", route_all)
+
+
+def test_route_mappings_is_the_same_in_two_workers(no_child_left):
+    g = bundled_topology("nsfnet")
+    qs = generate_quorums(bundled_base(14, 1))
+    mappings = generate_mappings(14, 5, 3)
+    assert report.route_mappings(g, qs, mappings, jobs=2) == \
+        report.route_mappings(g, qs, mappings, jobs=1)
+
+
+def test_exclusions_are_the_same_in_two_workers(no_child_left):
+    # two triangles joined by the bridge 3-4: every mapping is excluded
+    g = Topology(n=6, edges=((1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6),
+                             (5, 6)))
+    qs = generate_quorums(QuorumBase(n=6, r=1, members=(1, 2, 4)))
+    mappings = generate_mappings(6, 3, 0)
+
+    def shape(exc):
+        return (type(exc), str(exc),
+                {i: shape(e) for i, e in exc.failures.items()})
+
+    serial = report.route_mappings(g, qs, mappings, jobs=1)
+    assert all(isinstance(e, RoutingInfeasibleError) for e in serial)
+    assert [shape(e) for e in report.route_mappings(g, qs, mappings, jobs=2)] \
+        == [shape(e) for e in serial]
+
+
+def test_routing_infeasible_error_survives_pickling():
+    inner = RoutingInfeasibleError("every seed failed")
+    exc = RoutingInfeasibleError("1 of 3 quorums could not be routed",
+                                 failures={2: inner})
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is RoutingInfeasibleError
+    assert str(back) == str(exc)
+    assert list(back.failures) == [2]
+    assert str(back.failures[2]) == "every seed failed"
+
+
+@pytest.mark.parametrize("jobs", [0, -1, True, 1.0])
+def test_route_mappings_rejects_bad_jobs(jobs):
+    with pytest.raises(ValueError, match="jobs must be an int >= 1"):
+        report.route_mappings(*tri_inputs(), jobs=jobs)
+
+
+def test_worker_programming_error_propagates(monkeypatch, tmp_path,
+                                             no_child_left):
+    # mapping 1 is the forked worker's with jobs=2
+    fail_for(monkeypatch, {1: TypeError("bug in routing")})
+    with pytest.raises(TypeError, match="^bug in routing$"):
+        run_experiment(tri_spec(tmp_path, mapping_count=4), jobs=2)
+
+
+@pytest.mark.parametrize("bad, raised", [
+    ({1: TypeError("worker's"), 2: ValueError("parent's")}, TypeError),
+    ({0: ValueError("parent's"), 1: TypeError("worker's")}, ValueError),
+])
+def test_first_failing_mapping_decides_the_error(monkeypatch, no_child_left,
+                                                 bad, raised):
+    fail_for(monkeypatch, bad)
+    for jobs in (1, 2):
+        with pytest.raises(raised):
+            report.route_mappings(*tri_inputs(), jobs=jobs)
+
+
+class TwoFieldError(Exception):
+    # pickles, but cannot be rebuilt from its args alone
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
+
+
+@pytest.mark.skipif(CPUS < 2, reason="needs a forked worker")
+def test_unpicklable_worker_error_arrives_as_text(monkeypatch, no_child_left):
+    fail_for(monkeypatch, {1: TwoFieldError(7, "odd state")})
+    with pytest.raises(RuntimeError) as info:
+        report.route_mappings(*tri_inputs(), jobs=2)
+    assert str(info.value) == "TwoFieldError: 7: odd state"
+    assert "TwoFieldError" in info.value.__notes__[0]
+
+
+def test_threaded_caller_routes_in_process(monkeypatch, no_child_left):
+    real, forks = os.fork, []
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        routed = report.route_mappings(*tri_inputs(), jobs=2)
+    finally:
+        stop.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert forks == []
+    assert routed == report.route_mappings(*tri_inputs(), jobs=1)
+
+
+@pytest.mark.skipif(CPUS < 2, reason="needs a forked worker")
+def test_worker_that_dies_without_a_result(monkeypatch, no_child_left):
+    parent, real, mappings = os.getpid(), report.route_all, tri_inputs()[2]
+
+    def route_all(g, qs, m):
+        if m == mappings[1] and os.getpid() != parent:
+            os._exit(3)
+        return real(g, qs, m)
+
+    monkeypatch.setattr(report, "route_all", route_all)
+    with pytest.raises(RuntimeError, match="exited with status 3 before"):
+        report.route_mappings(*tri_inputs(), jobs=2)
 
 
 # ---------------------------------------------------------------- emitters
