@@ -101,7 +101,7 @@ def _cmd_simulate(args) -> int:
     total = g.n * (g.n - 1)
 
     # routed before the dump opens: the workers fork with no file open
-    routed = report.route_mappings(g, qs, mappings, jobs=args.jobs)
+    routed = report.route_mappings(g, qs, mappings)
     rows, means = [], []
     # samples stream to a temporary file that replaces the target only
     # once every mapping is done, so an error never leaves a partial dump
@@ -149,7 +149,7 @@ def _cmd_report(args) -> int:
     # (as perfbench/spans.py sets them) is the function that runs
     rows = []
     for spec in report.load_experiment_spec(args.spec_file):
-        rows.extend(report.run_experiment(spec, jobs=args.jobs))
+        rows.extend(report.run_experiment(spec))
     text = report.emit(rows, args.format)
     # UTF-8 whatever the locale, as specs are read; a text-only stream
     # (io.StringIO under contextlib.redirect_stdout) takes the str as is
@@ -161,22 +161,6 @@ def _cmd_report(args) -> int:
         out.write(text.encode("utf-8"))
         out.flush()
     return 0
-
-
-def _jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an int: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
-
-
-def _add_jobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=_jobs, default=None, metavar="N",
-                        help="route mappings in N processes; the output "
-                             "does not depend on N (default: one per CPU)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,13 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
                      default=FaultModel.TRUNCATED.value)
     sim.add_argument("--dump-samples",
                      help="write raw per-scenario samples as JSON lines")
-    _add_jobs(sim)
     sim.set_defaults(func=_cmd_simulate)
 
     rp = sub.add_parser("report", help="run an experiment spec and render rows")
     rp.add_argument("--spec-file", required=True)
     rp.add_argument("--format", choices=list(report.FORMATS), default="table")
-    _add_jobs(rp)
     rp.set_defaults(func=_cmd_report)
     return parser
 

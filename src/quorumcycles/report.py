@@ -8,7 +8,7 @@ The unit of replication is the node mapping: every metric is computed
 per mapping first and the interval is taken across mappings.
 `route_mappings` is the per-mapping unit of work; `report` and the
 cli's `simulate` both route their mappings through it, side by side in
-forked worker processes, one per available CPU by default.
+forked worker processes, one per available CPU.
 """
 
 from __future__ import annotations
@@ -223,29 +223,29 @@ def _resolve_base(n: int, r: int, base_files: dict[int, str]) -> QuorumBase:
 
 
 def route_mappings(g: Topology, qs: QuorumSet, mappings: Sequence[NodeMapping],
-                   *, jobs: int | None = None,
                    ) -> list[tuple[CycleRoute, ...] | RoutingInfeasibleError]:
     """Per mapping, in order: its routed cycles, or the error excluding it.
 
     Only RoutingInfeasibleError excludes a mapping; any other exception
-    is a fault in the program and propagates.  Mapping i is routed by
-    worker i % jobs; jobs=None means one worker per available CPU, and
-    the count is capped by the CPUs and by the mappings.  The caller
-    routes share 0 and forks the other workers, unless it runs other
-    threads.  The result, and which exception propagates, never depends
-    on jobs.
+    is a fault in the program and propagates.  There is one worker per
+    CPU in the affinity mask, at most one per mapping, and mapping i is
+    routed by worker i % workers.  The caller routes share 0 and forks
+    the other workers, unless it runs other threads.  The result never
+    depends on the worker count, nor does which mapping's exception
+    propagates.  A worker's exception keeps its type and message only
+    if it survives a pickle round trip; otherwise it arrives as a
+    RuntimeError carrying them.  Either way it loses its traceback,
+    __cause__ and __context__.
     """
     # call-time imports, as on the forked path, so that importing this
     # module stays as cheap as it is
     import os
     import sys
-    if jobs is not None and (type(jobs) is not int or jobs < 1):
-        raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    workers = min(jobs or cpus, cpus, len(mappings))
+    workers = min(cpus, len(mappings))
     # a child forked beside another thread may inherit a lock held forever
     threading = sys.modules.get("threading")
     threaded = threading is not None and threading.active_count() > 1
@@ -400,12 +400,8 @@ def _routed_from_plain(plain):
     return tuple(map(CycleRoute, plain))
 
 
-def run_experiment(spec: ExperimentSpec, *, jobs: int | None = None,
-                   ) -> list[ResultRow]:
-    """All result rows for one spec; deterministic given the spec.
-
-    jobs is route_mappings' worker count; the rows never depend on it.
-    """
+def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
+    """All result rows for one spec; deterministic given the spec."""
     if spec.topology in BUNDLED:
         g = bundled_topology(spec.topology)
     else:
@@ -423,7 +419,7 @@ def run_experiment(spec: ExperimentSpec, *, jobs: int | None = None,
             raise ExperimentError(
                 f"{spec.network} r={r}: no usable quorum base ({exc})"
             ) from exc
-        routed = route_mappings(g, generate_quorums(base), mappings, jobs=jobs)
+        routed = route_mappings(g, generate_quorums(base), mappings)
         cycle_lists = [c for c in routed if isinstance(c, tuple)]
         excluded = len(routed) - len(cycle_lists)
         if len(cycle_lists) < 2:

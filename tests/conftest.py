@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -54,6 +55,16 @@ def second_mapping_unroutable(monkeypatch):
         monkeypatch.setattr(module, "generate_mappings", generate_mappings)
     monkeypatch.setattr(report, "route_all", route_all)
     return calls
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Call with a count to give route_mappings that many CPUs, and so
+    that many workers at most, on any platform and machine."""
+    def set_cpus(count: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(count)), raising=False)
+    return set_cpus
 
 
 def adjacency_dict(t: Topology) -> dict[int, tuple[int, ...]]:

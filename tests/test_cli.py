@@ -318,11 +318,12 @@ def test_simulate_programming_error_is_not_excluded(capsys, monkeypatch,
 
 
 def test_simulate_excludes_only_the_unroutable_mapping(
-        capsys, tri_files, second_mapping_unroutable):
+        capsys, tri_files, second_mapping_unroutable, cpus):
+    cpus(1)
     topo, base = tri_files
     code, out, err = run(capsys, "simulate", "--topology", topo,
                          "--base-file", base, "--mode", "paired",
-                         "--faults", "1", "--mappings", "3", "--jobs", "1")
+                         "--faults", "1", "--mappings", "3")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [(row["status"], row["detail"]) for row in rows] == [
@@ -332,11 +333,12 @@ def test_simulate_excludes_only_the_unroutable_mapping(
 
 
 def test_simulate_excludes_only_the_unroutable_mapping_in_two_workers(
-        capsys, tri_files, second_mapping_unroutable):
+        capsys, tri_files, second_mapping_unroutable, cpus):
+    cpus(2)
     topo, base = tri_files
     code, out, err = run(capsys, "simulate", "--topology", topo,
                          "--base-file", base, "--mode", "paired",
-                         "--faults", "1", "--mappings", "3", "--jobs", "2")
+                         "--faults", "1", "--mappings", "3")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [(row["status"], row["detail"]) for row in rows] == [
@@ -507,44 +509,37 @@ def test_report_demo_csv_pinned(capsys):
     assert sha256(out.encode()) == REPORT_DEMO_CSV_PIN
 
 
-def test_report_demo_csv_is_the_same_in_one_and_two_workers(capsys):
-    outs = [run(capsys, "report", "--spec-file",
-                str(REPO / "experiments/nsfnet_demo.json"),
-                "--format", "csv", "--jobs", jobs) for jobs in ("1", "2")]
+def test_report_demo_csv_is_the_same_in_one_and_two_workers(capsys, cpus):
+    outs = []
+    for count in (1, 2):
+        cpus(count)
+        outs.append(run(capsys, "report", "--spec-file",
+                        str(REPO / "experiments/nsfnet_demo.json"),
+                        "--format", "csv"))
     assert outs[0][0] == 0
     assert outs[0] == outs[1]
 
 
-def test_simulate_outputs_are_the_same_in_one_and_two_workers(capsys,
+def test_simulate_outputs_are_the_same_in_one_and_two_workers(capsys, cpus,
                                                                tmp_path):
     outputs = []
-    for jobs in ("1", "2"):
-        dump = tmp_path / f"samples{jobs}.jsonl"
+    for count in (1, 2):
+        cpus(count)
+        dump = tmp_path / f"samples{count}.jsonl"
         code, out, err = run(
             capsys, "simulate", "--topology", "nsfnet",
             "--base-file", str(REPO / "src/quorumcycles/data/bases/n14_r3.json"),
             "--mode", "single", "--faults", "1", "--mappings", "4",
-            "--seed", "3", "--dump-samples", str(dump), "--jobs", jobs)
+            "--seed", "3", "--dump-samples", str(dump))
         assert code == 0
         outputs.append((out, err, dump.read_bytes()))
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("command", [
-    ["simulate", "--topology", "nsfnet", "--base-file", "unused.json",
-     "--mode", "single", "--faults", "1", "--mappings", "2"],
-    ["report", "--spec-file", "unused.json"],
-])
-@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
-def test_jobs_below_one_exits_2(capsys, command, jobs):
-    with pytest.raises(SystemExit) as exc:
-        main(command + ["--jobs", jobs])
-    assert exc.value.code == 2
-    assert "argument --jobs" in capsys.readouterr().err
-
-
-def test_jobs_are_capped_by_mappings_and_cpus(capsys, monkeypatch, tri_files):
-    # with 3 mappings even a broken cpu cap forks at most 2 workers
+@pytest.mark.parametrize("count, forked", [(4, 2), (1, 0)])
+def test_workers_are_capped_by_mappings_and_cpus(capsys, monkeypatch, cpus,
+                                                 tri_files, count, forked):
+    # on 4 CPUs, 3 mappings need 2 children; a broken cap forks at most 3
     real, forks = os.fork, []
 
     def fork():
@@ -554,13 +549,14 @@ def test_jobs_are_capped_by_mappings_and_cpus(capsys, monkeypatch, tri_files):
         return pid
 
     monkeypatch.setattr(os, "fork", fork)
+    cpus(count)
     topo, base = tri_files
     code, out, _ = run(capsys, "simulate", "--topology", topo,
                        "--base-file", base, "--mode", "paired",
-                       "--faults", "1", "--mappings", "3", "--jobs", "64")
+                       "--faults", "1", "--mappings", "3")
     assert code == 0
     assert len(out.splitlines()) == 4
-    assert len(forks) == min(len(os.sched_getaffinity(0)), 3) - 1
+    assert len(forks) == forked
 
 
 def test_report_format_outside_formats_exits_2(capsys):

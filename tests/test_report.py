@@ -36,8 +36,6 @@ from quorumcycles import report
 
 from oracles import mean_interval
 
-CPUS = len(os.sched_getaffinity(0))
-
 
 # ---------------------------------------------------------------- mean_ci
 
@@ -336,16 +334,18 @@ def test_run_experiment_base_programming_error_propagates(tmp_path,
 
 
 def test_run_experiment_counts_excluded_mapping(tmp_path,
-                                               second_mapping_unroutable):
-    rows = run_experiment(tri_spec(tmp_path), jobs=1)
+                                               second_mapping_unroutable, cpus):
+    cpus(1)
+    rows = run_experiment(tri_spec(tmp_path))
     assert len(second_mapping_unroutable) == 3
     assert len(rows) == 8
     assert {(r.n, r.excluded) for r in rows} == {(2, 1)}
 
 
 def test_run_experiment_counts_excluded_mapping_in_two_workers(
-        tmp_path, second_mapping_unroutable):
-    rows = run_experiment(tri_spec(tmp_path), jobs=2)
+        tmp_path, second_mapping_unroutable, cpus):
+    cpus(2)
+    rows = run_experiment(tri_spec(tmp_path))
     assert len(rows) == 8
     assert {(r.n, r.excluded) for r in rows} == {(2, 1)}
 
@@ -407,15 +407,24 @@ def fail_for(monkeypatch, bad: dict):
     monkeypatch.setattr(report, "route_all", route_all)
 
 
-def test_route_mappings_is_the_same_in_two_workers(no_child_left):
+def routed_by(cpus, count, *args):
+    cpus(count)
+    return report.route_mappings(*args)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="needs a forked worker")
+
+
+def test_route_mappings_is_the_same_in_two_workers(cpus, no_child_left):
     g = bundled_topology("nsfnet")
     qs = generate_quorums(bundled_base(14, 1))
     mappings = generate_mappings(14, 5, 3)
-    assert report.route_mappings(g, qs, mappings, jobs=2) == \
-        report.route_mappings(g, qs, mappings, jobs=1)
+    assert routed_by(cpus, 2, g, qs, mappings) == \
+        routed_by(cpus, 1, g, qs, mappings)
 
 
-def test_exclusions_are_the_same_in_two_workers(no_child_left):
+def test_exclusions_are_the_same_in_two_workers(cpus, no_child_left):
     # two triangles joined by the bridge 3-4: every mapping is excluded
     g = Topology(n=6, edges=((1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6),
                              (5, 6)))
@@ -426,9 +435,9 @@ def test_exclusions_are_the_same_in_two_workers(no_child_left):
         return (type(exc), str(exc),
                 {i: shape(e) for i, e in exc.failures.items()})
 
-    serial = report.route_mappings(g, qs, mappings, jobs=1)
+    serial = routed_by(cpus, 1, g, qs, mappings)
     assert all(isinstance(e, RoutingInfeasibleError) for e in serial)
-    assert [shape(e) for e in report.route_mappings(g, qs, mappings, jobs=2)] \
+    assert [shape(e) for e in routed_by(cpus, 2, g, qs, mappings)] \
         == [shape(e) for e in serial]
 
 
@@ -443,30 +452,25 @@ def test_routing_infeasible_error_survives_pickling():
     assert str(back.failures[2]) == "every seed failed"
 
 
-@pytest.mark.parametrize("jobs", [0, -1, True, 1.0])
-def test_route_mappings_rejects_bad_jobs(jobs):
-    with pytest.raises(ValueError, match="jobs must be an int >= 1"):
-        report.route_mappings(*tri_inputs(), jobs=jobs)
-
-
-def test_worker_programming_error_propagates(monkeypatch, tmp_path,
+def test_worker_programming_error_propagates(monkeypatch, tmp_path, cpus,
                                              no_child_left):
-    # mapping 1 is the forked worker's with jobs=2
+    # mapping 1 is the forked worker's with two workers
     fail_for(monkeypatch, {1: TypeError("bug in routing")})
+    cpus(2)
     with pytest.raises(TypeError, match="^bug in routing$"):
-        run_experiment(tri_spec(tmp_path, mapping_count=4), jobs=2)
+        run_experiment(tri_spec(tmp_path, mapping_count=4))
 
 
 @pytest.mark.parametrize("bad, raised", [
     ({1: TypeError("worker's"), 2: ValueError("parent's")}, TypeError),
     ({0: ValueError("parent's"), 1: TypeError("worker's")}, ValueError),
 ])
-def test_first_failing_mapping_decides_the_error(monkeypatch, no_child_left,
-                                                 bad, raised):
+def test_first_failing_mapping_decides_the_error(monkeypatch, cpus,
+                                                 no_child_left, bad, raised):
     fail_for(monkeypatch, bad)
-    for jobs in (1, 2):
+    for count in (1, 2):
         with pytest.raises(raised):
-            report.route_mappings(*tri_inputs(), jobs=jobs)
+            routed_by(cpus, count, *tri_inputs())
 
 
 class TwoFieldError(Exception):
@@ -475,16 +479,18 @@ class TwoFieldError(Exception):
         super().__init__(f"{code}: {detail}")
 
 
-@pytest.mark.skipif(CPUS < 2, reason="needs a forked worker")
-def test_unpicklable_worker_error_arrives_as_text(monkeypatch, no_child_left):
+@needs_fork
+def test_unpicklable_worker_error_arrives_as_text(monkeypatch, cpus,
+                                                  no_child_left):
     fail_for(monkeypatch, {1: TwoFieldError(7, "odd state")})
     with pytest.raises(RuntimeError) as info:
-        report.route_mappings(*tri_inputs(), jobs=2)
+        routed_by(cpus, 2, *tri_inputs())
     assert str(info.value) == "TwoFieldError: 7: odd state"
     assert "TwoFieldError" in info.value.__notes__[0]
 
 
-def test_threaded_caller_routes_in_process(monkeypatch, no_child_left):
+@needs_fork
+def test_threaded_caller_routes_in_process(monkeypatch, cpus, no_child_left):
     real, forks = os.fork, []
 
     def fork():
@@ -496,17 +502,17 @@ def test_threaded_caller_routes_in_process(monkeypatch, no_child_left):
     waiter = threading.Thread(target=stop.wait)
     waiter.start()
     try:
-        routed = report.route_mappings(*tri_inputs(), jobs=2)
+        routed = routed_by(cpus, 2, *tri_inputs())
     finally:
         stop.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive()
     assert forks == []
-    assert routed == report.route_mappings(*tri_inputs(), jobs=1)
+    assert routed == routed_by(cpus, 1, *tri_inputs())
 
 
-@pytest.mark.skipif(CPUS < 2, reason="needs a forked worker")
-def test_worker_that_dies_without_a_result(monkeypatch, no_child_left):
+@needs_fork
+def test_worker_that_dies_without_a_result(monkeypatch, cpus, no_child_left):
     parent, real, mappings = os.getpid(), report.route_all, tri_inputs()[2]
 
     def route_all(g, qs, m):
@@ -516,7 +522,7 @@ def test_worker_that_dies_without_a_result(monkeypatch, no_child_left):
 
     monkeypatch.setattr(report, "route_all", route_all)
     with pytest.raises(RuntimeError, match="exited with status 3 before"):
-        report.route_mappings(*tri_inputs(), jobs=2)
+        routed_by(cpus, 2, *tri_inputs())
 
 
 # ---------------------------------------------------------------- emitters
