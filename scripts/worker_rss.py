@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Peak resident memory of a routed run: the caller's and its workers'.
 
-report.route_mappings forks one worker per CPU beyond the first, so a
-run's memory is more than the caller's own peak.  This runs one of two
+report forks one worker per CPU beyond the first, and each worker
+routes its mappings and sweeps their faults, so a run's memory is more
+than the caller's own peak.  This runs one of two
 fixed runs in this process and prints, as one JSON line:
 
 - caller_mb: the peak RSS of this process (getrusage RUSAGE_SELF)

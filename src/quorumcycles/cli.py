@@ -21,12 +21,12 @@ import sys
 from pathlib import Path
 
 from . import report
-from .faultsim import enumerate_faults, evaluate
-from .lighttrail import DeploymentPlan, FaultModel, TrailMode
+from .faultsim import enumerate_faults
+from .lighttrail import FaultModel, TrailMode
 from .quorums import (DEFAULT_SEARCH_BUDGET, QuorumBase, SearchBudget,
                       generate_quorums, load_base, save_base, search_min_base,
                       verify_quorum_set)
-from .routing import RoutingInfeasibleError, route_all
+from .routing import route_all
 from .topology import (BUNDLED, NodeMapping, Topology, bundled_topology,
                        generate_mappings, load_topology)
 
@@ -100,22 +100,19 @@ def _cmd_simulate(args) -> int:
     scenarios = enumerate_faults(g, args.faults)
     total = g.n * (g.n - 1)
 
-    # routed before the dump opens: the workers fork with no file open
-    routed = report.route_mappings(g, qs, mappings)
+    # swept before the dump opens: the workers fork with no file open
+    swept = report.sweep_mappings(g, qs, mappings, mode, scenarios, model)
     rows, means = [], []
     # samples stream to a temporary file that replaces the target only
-    # once every mapping is done, so an error never leaves a partial dump
+    # once every mapping is written, so an error never leaves a partial dump
     tmp = f"{args.dump_samples}.tmp" if args.dump_samples else None
     try:
         with (open(tmp, "w", encoding="utf-8") if tmp
               else contextlib.nullcontext()) as dump:
-            for idx, cycles in enumerate(routed):
-                if isinstance(cycles, RoutingInfeasibleError):
-                    rows.append([idx, "excluded", 0, "",
-                                 f"{type(cycles).__name__}: {cycles}"])
+            for idx, counts in enumerate(swept):
+                if isinstance(counts, str):
+                    rows.append([idx, "excluded", 0, "", counts])
                     continue
-                plan = DeploymentPlan(n=g.n, mode=mode, cycles=cycles)
-                counts = evaluate(plan, scenarios, model)
                 mean = sum(counts) / (len(scenarios) * total)
                 means.append(mean)
                 rows.append([idx, "ok", len(scenarios), repr(mean), ""])

@@ -5,10 +5,11 @@ network, aggregating per-mapping metrics into means with 95% confidence
 intervals, and renders result rows as an aligned table, csv or json.
 
 The unit of replication is the node mapping: every metric is computed
-per mapping first and the interval is taken across mappings.
-`route_mappings` is the per-mapping unit of work; `report` and the
-cli's `simulate` both route their mappings through it, side by side in
-forked worker processes, one per available CPU.
+per mapping first and the interval is taken across mappings.  Each
+mapping is routed and swept for faults in one of `_fork_map`'s forked
+worker processes, one per available CPU, which send back plain counts:
+`run_experiment` maps its (r, mapping) units there, and the cli's
+`simulate` its mappings through `sweep_mappings`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from array import array
 from dataclasses import dataclass
 from math import sqrt
 from pathlib import Path
@@ -28,7 +30,7 @@ from .lighttrail import (DeploymentPlan, FaultModel, TrailMode, links_used,
 from .quorums import (DEFAULT_SEARCH_BUDGET, QuorumBase, QuorumSet,
                       SearchBudget, SearchBudgetExhausted, bundled_base,
                       generate_quorums, is_r_redundant, load_base, search_min_base)
-from .routing import CycleRoute, RoutingInfeasibleError, route_all
+from .routing import Edge, RoutingInfeasibleError, route_all
 from .topology import (BUNDLED, NodeMapping, Topology, bundled_topology,
                        generate_mappings, load_topology)
 
@@ -222,57 +224,65 @@ def _resolve_base(n: int, r: int, base_files: dict[int, str]) -> QuorumBase:
     return result.base
 
 
-def route_mappings(g: Topology, qs: QuorumSet, mappings: Sequence[NodeMapping],
-                   ) -> list[tuple[CycleRoute, ...] | RoutingInfeasibleError]:
-    """Per mapping, in order: its routed cycles, or the error excluding it.
+def sweep_mappings(g: Topology, qs: QuorumSet, mappings: Sequence[NodeMapping],
+                   mode: TrailMode, scenarios: Sequence[Sequence[Edge]],
+                   fault_model: FaultModel = FaultModel.TRUNCATED,
+                   ) -> list[array | str]:
+    """Per mapping, in order: the served pair count of its routed plan
+    under each scenario, or, for a mapping routing excludes, the text
+    naming the error.
 
     Only RoutingInfeasibleError excludes a mapping; any other exception
-    is a fault in the program and propagates.  There is one worker per
-    CPU in the affinity mask, at most one per mapping, and mapping i is
-    routed by worker i % workers.  The caller routes share 0 and forks
-    the other workers, unless it runs other threads.  The result never
-    depends on the worker count, nor does which mapping's exception
-    propagates.  A worker's exception keeps its type and message only
+    is a fault in the program and propagates.  Each mapping is routed
+    and swept in one of _fork_map's workers.  The counts travel and stay
+    packed, 4 bytes each (a count is at most n(n - 1), under 2**32 up to
+    65,536 nodes), where a list would hold an int object per count:
+    every mapping's counts are held until the last is swept.
+    """
+    def sweep(m: NodeMapping):
+        try:
+            cycles = route_all(g, qs, m)
+        except RoutingInfeasibleError as exc:
+            return f"{type(exc).__name__}: {exc}"
+        return array("I", evaluate(DeploymentPlan(n=g.n, mode=mode, cycles=cycles),
+                                   scenarios, fault_model)).tobytes()
+
+    return [swept if isinstance(swept, str) else array("I", swept)
+            for swept in _fork_map(sweep, mappings)]
+
+
+def _fork_map(fn, items: Sequence) -> list:
+    """[fn(item) for item in items], with item i run by worker i % workers.
+
+    There is one worker per CPU in the affinity mask, at most one per
+    item.  fn must return values marshal can carry.  This process is
+    worker 0 and forks the others, unless it runs other threads.  Each
+    child sends its share back through a pipe and leaves by os._exit,
+    so it never flushes the caller's stdio or runs exit handlers.  Every
+    child is read and waited for, even when this process's own share
+    raises.  Of the exceptions raised, the one of the lowest item
+    propagates, so neither the result nor the error depends on the
+    worker count.  A worker's exception keeps its type and message only
     if it survives a pickle round trip; otherwise it arrives as a
     RuntimeError carrying them.  Either way it loses its traceback,
     __cause__ and __context__.
     """
-    # call-time imports, as on the forked path, so that importing this
-    # module stays as cheap as it is
+    # call-time imports, so that importing this module stays as cheap
+    # as it is
     import os
     import sys
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    workers = min(cpus, len(mappings))
+    workers = min(cpus, len(items))
     # a child forked beside another thread may inherit a lock held forever
     threading = sys.modules.get("threading")
     threaded = threading is not None and threading.active_count() > 1
-
-    def route(m: NodeMapping):
-        try:
-            return route_all(g, qs, m)
-        except RoutingInfeasibleError as exc:
-            return exc
-
     if workers <= 1 or threaded or not hasattr(os, "fork"):
-        return [route(m) for m in mappings]
-    return _route_forked(route, mappings, workers)
+        return [fn(item) for item in items]
 
-
-def _route_forked(route, mappings: Sequence[NodeMapping], workers: int) -> list:
-    """route_mappings' result, mapping i routed by worker i % workers.
-
-    This process is worker 0 and forks the others.  Each child sends its
-    share back through a pipe and leaves by os._exit, so it never flushes
-    the caller's stdio or runs exit handlers.  Every child is read and
-    waited for, even when this process's own share raises.  Of the
-    exceptions raised, the one of the lowest mapping propagates.
-    """
     import marshal
-    import os
-
     shares = [None] * workers
     pipes, pids = {}, {}
     try:
@@ -285,10 +295,10 @@ def _route_forked(route, mappings: Sequence[NodeMapping], workers: int) -> list:
                 os.close(w)
                 raise
             if pid == 0:
-                _child(route, mappings, k, workers, (r, w), pipes.values())
+                _child(fn, items, k, workers, (r, w), pipes.values())
             os.close(w)
             pipes[k], pids[k] = open(r, "rb"), pid
-        shares[0] = _run_share(route, mappings, 0, workers, Exception)
+        shares[0] = _run_share(fn, items, 0, workers, Exception)
     finally:
         data, status = {}, {}
         try:
@@ -306,9 +316,9 @@ def _route_forked(route, mappings: Sequence[NodeMapping], workers: int) -> list:
                 f"worker {pid} exited with status {status[k]} "
                 "before sending a result")
             continue
-        plain, index, pickled = marshal.loads(data[k])
+        results, index, pickled = marshal.loads(data.pop(k))
         if pickled is None:
-            shares[k] = list(map(_routed_from_plain, plain)), None, None
+            shares[k] = results, None, None
         else:
             import pickle
             shares[k] = None, index, pickle.loads(pickled)
@@ -316,13 +326,13 @@ def _route_forked(route, mappings: Sequence[NodeMapping], workers: int) -> list:
     failed = [(index, exc) for _, index, exc in shares if exc is not None]
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
-    out = [None] * len(mappings)
+    out = [None] * len(items)
     for k, (results, _, _) in enumerate(shares):
         out[k::workers] = results
     return out
 
 
-def _child(route, mappings: Sequence[NodeMapping], k: int, step: int,
+def _child(fn, items: Sequence, k: int, step: int,
            pipe: tuple[int, int], inherited) -> None:
     """Worker k's whole life after the fork: send its share, never return.
 
@@ -336,8 +346,7 @@ def _child(route, mappings: Sequence[NodeMapping], k: int, step: int,
         os.close(r)
         for other in inherited:
             other.close()
-        payload = _share_payload(
-            _run_share(route, mappings, k, step, BaseException))
+        payload = _share_payload(_run_share(fn, items, k, step, BaseException))
         with open(w, "wb") as out:
             out.write(payload)
         code = 0
@@ -345,22 +354,20 @@ def _child(route, mappings: Sequence[NodeMapping], k: int, step: int,
         os._exit(code)
 
 
-def _run_share(route, mappings: Sequence[NodeMapping], k: int, step: int,
-               catch: type) -> tuple:
-    """(results, None, None) for mappings k, k + step, ...; on an
-    exception of type catch, (None, the mapping's index, the exception)."""
+def _run_share(fn, items: Sequence, k: int, step: int, catch: type) -> tuple:
+    """(results, None, None) for items k, k + step, ...; on an exception
+    of type catch, (None, the item's index, the exception)."""
     results = []
     try:
-        for m in mappings[k::step]:
-            results.append(route(m))
+        for item in items[k::step]:
+            results.append(fn(item))
     except catch as exc:
         return None, k + step * len(results), exc
     return results, None, None
 
 
 def _share_payload(share: tuple) -> bytes:
-    """A worker's share as marshal bytes: routes and exclusions as plain
-    tuples, or the exception pickled.
+    """A worker's share as marshal bytes, its exception pickled.
 
     marshal is built in, and pickle costs a routed run resident memory
     (about 0.4 MB), so pickle is imported only for an exception.  One
@@ -370,7 +377,7 @@ def _share_payload(share: tuple) -> bytes:
     import marshal
     results, index, exc = share
     if exc is None:
-        return marshal.dumps((list(map(_plain_routed, results)), None, None))
+        return marshal.dumps(share)
     import pickle
     try:
         pickled = pickle.dumps(exc)
@@ -383,25 +390,15 @@ def _share_payload(share: tuple) -> bytes:
     return marshal.dumps((None, index, pickled))
 
 
-def _plain_routed(routed):
-    """A mapping's cycles as a tuple of node sequences, or its exclusion
-    as a list [message, {quorum: plain failure}]."""
-    if isinstance(routed, RoutingInfeasibleError):
-        return [str(routed), {i: _plain_routed(e)
-                              for i, e in routed.failures.items()}]
-    return tuple(c.sequence for c in routed)
-
-
-def _routed_from_plain(plain):
-    if isinstance(plain, list):
-        message, failures = plain
-        return RoutingInfeasibleError(message, {
-            i: _routed_from_plain(e) for i, e in failures.items()})
-    return tuple(map(CycleRoute, plain))
-
-
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
-    """All result rows for one spec; deterministic given the spec."""
+    """All result rows for one spec; deterministic given the spec.
+
+    One _fork_map runs every (r, mapping) unit, r-major: it routes the
+    mapping and returns per mode its links, its missing pair count and
+    its served pair count summed over each fault order's scenarios.
+    Only the r values before the first without a usable base run, so
+    a spec's error is the one taking the r values one by one raises.
+    """
     if spec.topology in BUNDLED:
         g = bundled_topology(spec.topology)
     else:
@@ -411,41 +408,61 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     scenario_sets = {o: enumerate_faults(g, o) for o in spec.fault_orders}
     total_pairs = g.n * (g.n - 1)
 
-    rows: list[ResultRow] = []
+    quorum_sets, unusable = [], None
     for r in spec.r_values:
         try:
             base = _resolve_base(g.n, r, base_files)
         except (OSError, ValueError, SearchBudgetExhausted) as exc:
+            unusable = r, exc
+            break
+        quorum_sets.append(generate_quorums(base))
+
+    def unit(job: tuple[QuorumSet, NodeMapping]):
+        try:
+            cycles = route_all(g, *job)
+        except RoutingInfeasibleError:
+            return None
+        samples = []
+        for mode in spec.modes:
+            plan = DeploymentPlan(n=g.n, mode=mode, cycles=cycles)
+            samples.append((links_used(plan), len(missing_pairs(plan)), [
+                sum(evaluate(plan, scenarios, spec.fault_model))
+                for scenarios in scenario_sets.values()]))
+        return samples
+
+    done = _fork_map(unit, [(qs, m) for qs in quorum_sets for m in mappings])
+    rows: list[ResultRow] = []
+    for i, r in enumerate(spec.r_values[:len(quorum_sets)]):
+        routed = [s for s in done[i * len(mappings):(i + 1) * len(mappings)]
+                  if s is not None]
+        excluded = len(mappings) - len(routed)
+        if len(routed) < 2:
             raise ExperimentError(
-                f"{spec.network} r={r}: no usable quorum base ({exc})"
-            ) from exc
-        routed = route_mappings(g, generate_quorums(base), mappings)
-        cycle_lists = [c for c in routed if isinstance(c, tuple)]
-        excluded = len(routed) - len(cycle_lists)
-        if len(cycle_lists) < 2:
-            raise ExperimentError(
-                f"{spec.network} r={r}: only {len(cycle_lists)} of "
+                f"{spec.network} r={r}: only {len(routed)} of "
                 f"{spec.mapping_count} mappings routed")
 
-        for mode in spec.modes:
-            plans = [DeploymentPlan(n=g.n, mode=mode, cycles=cycles)
-                     for cycles in cycle_lists]
+        for j, mode in enumerate(spec.modes):
+            samples = [s[j] for s in routed]
 
-            def add(metric: str, order: int, samples: list[float]):
-                ci = mean_ci(samples)
+            def add(metric: str, order: int, values: list[float]):
+                ci = mean_ci(values)
                 rows.append(ResultRow(
                     network=spec.network, r=r, mode=mode.value, metric=metric,
                     fault_order=order, mean=ci.mean, lo=ci.lo, hi=ci.hi,
                     n=ci.n, excluded=excluded))
 
-            add("links", 0, [float(links_used(p)) for p in plans])
-            gaps = [len(missing_pairs(p)) for p in plans]
-            add("missing", 0, [float(count) for count in gaps])
-            add("missing_pct", 0, [100.0 * count / total_pairs for count in gaps])
-            for order, scenarios in scenario_sets.items():
+            add("links", 0, [float(links) for links, _, _ in samples])
+            add("missing", 0, [float(count) for _, count, _ in samples])
+            add("missing_pct", 0, [100.0 * count / total_pairs
+                                   for _, count, _ in samples])
+            for k, (order, scenarios) in enumerate(scenario_sets.items()):
                 add("coverage", order, [
-                    100.0 * sum(evaluate(p, scenarios, spec.fault_model))
-                    / (len(scenarios) * total_pairs) for p in plans])
+                    100.0 * served[k] / (len(scenarios) * total_pairs)
+                    for _, _, served in samples])
+    if unusable is not None:
+        r, exc = unusable
+        raise ExperimentError(
+            f"{spec.network} r={r}: no usable quorum base ({exc})") from exc
     return rows
 
 

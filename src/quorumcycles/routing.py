@@ -36,6 +36,8 @@ from .quorums import QuorumSet
 from .topology import NodeMapping, Topology, canonical_edge, find_bridges, relabel
 
 Edge = tuple[int, int]
+# a _layered_paths entry: members on the path, the path, its link bits
+Entry = tuple[int, tuple[int, ...], int]
 
 
 class RoutingInfeasibleError(Exception):
@@ -114,7 +116,7 @@ def _walk_bits(g: Topology, seq: tuple[int, ...]) -> int:
 def _layered_paths(g: Topology, source: int, cset: frozenset[int],
                    banned: int = 0, goals: frozenset[int] | set[int] = frozenset(),
                    depth: int | None = None
-                   ) -> dict[int, tuple[int, tuple[int, ...], int]]:
+                   ) -> dict[int, Entry]:
     """BFS keeping, per node, the best shortest path from source.
 
     Best means most cset nodes on the path, then lexicographically
@@ -123,21 +125,25 @@ def _layered_paths(g: Topology, source: int, cset: frozenset[int],
     bits being the links the path crosses.  Given goals, the search
     stops after the layer that settles the last of them, and given a
     depth, after the layer at that many hops: later layers never change
-    an entry already made.
+    an entry already made.  Given one goal, it skips the nodes whose
+    hop distance to it exceeds the layers left, as A* would (Hart,
+    Nilsson & Raphael 1968): only the goal's entry is sure to be kept.
     """
     links = g.link_bits
-    best: dict[int, tuple[int, tuple[int, ...], int]] = {
+    best: dict[int, Entry] = {
         source: (1 if source in cset else 0, (source,), 0)
     }
     frontier = [source]
     layers = g.n if depth is None else depth
+    # hop distances to the one goal; without one, a row that cuts nothing
+    far = g.hops[min(goals)] if len(goals) == 1 else (0,) * (g.n + 1)
     while frontier and layers > 0 and not (goals and goals <= best.keys()):
         layers -= 1
-        layer: dict[int, tuple[int, tuple[int, ...], int]] = {}
+        layer: dict[int, Entry] = {}
         for u in frontier:
             cnt, path, bits = best[u]
             for w, bit in links[u].items():
-                if bit & banned or w in best:
+                if bit & banned or w in best or far[w] > layers:
                     continue
                 c = cnt + (w in cset)
                 held = layer.get(w)
@@ -162,7 +168,7 @@ def _rank(inside: int, path: tuple[int, ...]) -> tuple[float, int, tuple[int, ..
 
 
 def _densest(g: Topology, source: int, members: frozenset[int], banned: int
-             ) -> tuple[int, tuple[int, ...], int] | None:
+             ) -> Entry | None:
     """Best-ranked shortest path entry from source to another member, or None.
 
     Only members can be chosen, so the search ends once all are settled.
@@ -214,17 +220,19 @@ def close_cycle(g: Topology, path: tuple[int, ...],
     return None if ret is None else CycleRoute(tuple(path) + ret[1][1:])
 
 
-def _leg_key(entry: tuple[int, tuple[int, ...], int]) -> tuple:
+def _leg_key(entry: Entry) -> tuple:
     """Leg order of _layered_paths: fewer hops, more members, lexicographic."""
     return (len(entry[1]), -entry[0], entry[1])
 
 
-def _off_cycle_legs(g: Topology, v: int, cycle_bits: int, cset: frozenset[int]):
+def _off_cycle_legs(g: Topology, v: int, cycle_bits: int, cset: frozenset[int],
+                    depth: int | None = None):
     """One BFS from v off the cycle, and the detour legs that follow from it.
 
-    Returns (dv, legs).  dv maps each node v reaches without crossing a
-    link in cycle_bits to its hop distance.  legs(a, b), for a cycle
-    link (a, b) with a or b in dv, returns the best a -> v and v -> b
+    Returns (dv, legs).  dv maps each node v reaches within depth hops
+    without crossing a link in cycle_bits to its hop distance.
+    legs(a, b), for a cycle link (a, b) with both ends in dv or one
+    less than depth hops from v, returns the best a -> v and v -> b
     legs over the graph minus every other cycle link, each as a
     _layered_paths entry, exactly as a search from a or v would find
     them.  A shortest leg crosses (a, b) only as its first (a -> v) or
@@ -234,11 +242,11 @@ def _off_cycle_legs(g: Topology, v: int, cycle_bits: int, cset: frozenset[int]):
     off the cycle, so it never wins.
     """
     links = g.link_bits
-    tree = _layered_paths(g, v, cset, cycle_bits)
+    tree = _layered_paths(g, v, cset, cycle_bits, (), depth)
     dv = {u: len(path) - 1 for u, (_, path, _) in tree.items()}
-    into: dict[int, tuple[int, tuple[int, ...], int]] = {}
+    into: dict[int, Entry] = {}
 
-    def toward(x: int) -> tuple[int, tuple[int, ...], int]:
+    def toward(x: int) -> Entry:
         # the best off-cycle x -> v path: a shortest path holds as many
         # members as its reverse, so each step down a layer goes to the
         # neighbour with the largest tree count, then the smallest id
@@ -273,8 +281,7 @@ def _off_cycle_legs(g: Topology, v: int, cycle_bits: int, cset: frozenset[int]):
     return dv, legs
 
 
-def _detour(g: Topology, first: tuple[int, tuple[int, ...], int],
-            back: tuple[int, tuple[int, ...], int], banned: int,
+def _detour(g: Topology, first: Entry, back: Entry, banned: int,
             cset: frozenset[int], room: int) -> tuple[int, ...] | None:
     """Edge-distinct walk a -> v -> b avoiding banned links, or None.
 
@@ -297,6 +304,9 @@ def _detour(g: Topology, first: tuple[int, tuple[int, ...], int],
                             room - (len(av) - 1)).get(b)
     if second is not None:
         candidates.append(av + second[1][1:])
+        # a longer walk loses to this one, so the other order drops it;
+        # one as long still competes
+        room = len(candidates[0]) - 1
     fore = _layered_paths(g, a, cset, banned | vb_bits, {v},
                           room - (len(vb) - 1)).get(v)
     if fore is not None:
@@ -321,11 +331,11 @@ def insert_missing(g: Topology, route: CycleRoute, v: int,
     graph's link count, drops no edge-distinct cycle.
 
     memo, shared by calls on one g and c, keeps per (cycle link bits, v)
-    the off-cycle legs and each link's detour with the room it was
-    found under.  A detour found under a room is the one every larger
-    room finds, so it answers any room it fits; None under a room
-    answers any smaller one.  Other lookups search again, so the result
-    never depends on the memo.
+    the off-cycle legs with their depth, and each link's detour with
+    the room it was found under.  A detour found under a room is the
+    one every larger room finds, so it answers any room it fits; None
+    under a room answers any smaller one.  Other lookups search again,
+    so the result never depends on the memo.
     """
     seq = route.sequence
     _check_nodes(g, (v,) + seq, "node")
@@ -338,10 +348,20 @@ def insert_missing(g: Topology, route: CycleRoute, v: int,
     cycle_bits = _walk_bits(g, seq)
     if memo is None:
         memo = {}
+    # the off-cycle search stops at this depth.  Its legs are exact at
+    # a link with both ends in dv or one nearer than reach; at any other
+    # link one end is at least reach hops from v and the other at least
+    # reach + 1, so by the bound below the cycle would have at least
+    # len(seq) - 2 + 2 * reach + 1 > limit links, and it is never tried
+    reach = (limit - len(seq) + 1) // 2 + 1
     key = (cycle_bits, v)
-    if key not in memo:
-        memo[key] = (*_off_cycle_legs(g, v, cycle_bits, cset), {})
-    dv, legs, detours = memo[key]
+    held = memo.get(key)
+    # legs searched for a smaller limit are searched again, deeper; the
+    # detours they gave stay exact
+    if held is None or held[0] < reach:
+        held = memo[key] = (reach, *_off_cycle_legs(g, v, cycle_bits, cset, reach),
+                            held[3] if held else {})
+    _, dv, legs, detours = held
     far = g.n + 1
     # with only (a, b) unbanned, a shortest a -> v leg either avoids (a, b)
     # or crosses it first, so it is exactly la = min(dv[a], 1 + dv[b]) long
@@ -412,15 +432,20 @@ def _insert_all(g: Topology, route: CycleRoute, cset: frozenset[int],
     off the cycle replaces one link by a walk of at least 2d.  memo goes
     to every insert_missing call.
     """
+    hops, on_cycle = g.hops, set()
+    # each missing member's hop distance to the cycle, n for none; a
+    # splice keeps every node, so only the nodes it adds can lower it
+    dist = dict.fromkeys(cset, g.n)
     while True:
-        on_cycle = set(route.sequence)
-        missing = cset - on_cycle
-        if not missing:
+        added = set(route.sequence) - on_cycle
+        on_cycle |= added
+        dist = {v: min(d, *map(hops[v].__getitem__, added))
+                for v, d in dist.items() if v not in added}
+        if not dist:
             return route
-        dists = [(min(g.hops[v][u] for u in on_cycle), v) for v in missing]
         # nearest-to-cycle first, ties by node id
-        dist, v = min(dists)
-        if dist == g.n or route.length - 1 + 2 * max(dists)[0] > limit:
+        d, v = min(zip(dist.values(), dist))
+        if d == g.n or route.length - 1 + 2 * max(dist.values()) > limit:
             return None
         route = insert_missing(g, route, v, cset, limit=limit, memo=memo)
         if route is None:

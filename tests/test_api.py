@@ -4,7 +4,10 @@ import ast
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+
+import pytest
 
 import quorumcycles
 from quorumcycles import (CycleRoute, DeploymentPlan, NodeMapping, Topology,
@@ -36,6 +39,26 @@ def test_import_leaves_numpy_unloaded():
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert proc.stdout == "False\n"
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython"
+                    or sys.version_info[:2] != (3, 11),
+                    reason="compile peaks are pinned for CPython 3.11")
+def test_compile_peaks_stay_small():
+    # where no bytecode is cached, every import compiles the package, so
+    # the largest module's compile peak is part of any run's peak memory:
+    # 1,425 KB for routing.py, where one more copy of its BFS loop costs
+    # about 300 KB
+    peaks = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tracemalloc.start()
+        try:
+            compile(source, str(path), "exec")
+            peaks[path.name] = tracemalloc.get_traced_memory()[1] // 1024
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) <= 1_450, peaks
 
 
 def test_frozen_values_hold_tuples_given_lists():

@@ -6,6 +6,7 @@ import io
 import json
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -250,24 +251,26 @@ def test_simulate_dump_samples(capsys, tmp_path, tri_files):
 
 
 def test_simulate_dump_is_atomic(capsys, monkeypatch, tmp_path, tri_files):
+    # the second sample fails to render, after the first was written
     topo, base = tri_files
     dump = tmp_path / "samples.jsonl"
-    real = cli.evaluate
+    real = json.dumps
     calls = []
 
     def fail_second(*args, **kwargs):
         calls.append(1)
         if len(calls) == 2:
-            raise RuntimeError("evaluator crashed")
+            raise RuntimeError("dump writer crashed")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "evaluate", fail_second)
+    monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=fail_second))
     code, out, err = run(capsys, "simulate", "--topology", topo,
                          "--base-file", base, "--mode", "paired",
                          "--faults", "1", "--mappings", "3",
                          "--dump-samples", str(dump))
     assert code == 1
-    assert "evaluator crashed" in err
+    assert len(calls) == 2
+    assert "dump writer crashed" in err
     assert not dump.exists()
     assert not (tmp_path / "samples.jsonl.tmp").exists()
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from quorumcycles import (
     CISummary,
+    DeploymentPlan,
     ExperimentError,
     ExperimentSpec,
     FaultModel,
@@ -23,11 +24,14 @@ from quorumcycles import (
     bundled_base,
     bundled_topology,
     emit,
+    enumerate_faults,
+    evaluate,
     generate_mappings,
     generate_quorums,
     load_experiment_spec,
     mean_ci,
     parse_rows_csv,
+    route_all,
     run_experiment,
     save_base,
 )
@@ -350,6 +354,31 @@ def test_run_experiment_counts_excluded_mapping_in_two_workers(
     assert {(r.n, r.excluded) for r in rows} == {(2, 1)}
 
 
+def test_run_experiment_raises_the_first_r_values_error(tmp_path, monkeypatch,
+                                                      cpus):
+    # all units run in one fork, yet the error is the one r by r gives:
+    # r=1 routes nothing before r=2's base is found missing, and no r
+    # after a missing base is routed
+    cpus(1)
+    (tmp_path / "path.txt").write_text("n 3\n1 2\n2 3\n")
+    missing = str(tmp_path / "missing.json")
+    spec = tri_spec(tmp_path, topology=str(tmp_path / "path.txt"),
+                    r_values=(1, 2), base_files=((2, missing),))
+    with pytest.raises(ExperimentError, match="r=1: only 0 of 3 mappings"):
+        run_experiment(spec)
+    real, calls = report.route_all, []
+
+    def route_all(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(report, "route_all", route_all)
+    spec = tri_spec(tmp_path, r_values=(1, 2), base_files=((1, missing),))
+    with pytest.raises(ExperimentError, match="r=1: no usable quorum base"):
+        run_experiment(spec)
+    assert calls == []
+
+
 def test_run_experiment_routing_programming_error_propagates(tmp_path,
                                                             monkeypatch):
     def broken(*args):
@@ -379,7 +408,7 @@ def test_run_experiment_unroutable_topology(tmp_path):
         run_experiment(spec)
 
 
-# ---------------------------------------------------------- route_mappings
+# ---------------------------------------------------------- sweep_mappings
 
 @pytest.fixture
 def no_child_left():
@@ -389,9 +418,10 @@ def no_child_left():
 
 
 def tri_inputs(count=4):
-    return (Topology(n=3, edges=((1, 2), (1, 3), (2, 3))),
-            generate_quorums(QuorumBase(n=3, r=1, members=(1, 2))),
-            generate_mappings(3, count, 1))
+    g = Topology(n=3, edges=((1, 2), (1, 3), (2, 3)))
+    return (g, generate_quorums(QuorumBase(n=3, r=1, members=(1, 2))),
+            generate_mappings(3, count, 1), TrailMode.PAIRED,
+            enumerate_faults(g, 1))
 
 
 def fail_for(monkeypatch, bad: dict):
@@ -407,38 +437,39 @@ def fail_for(monkeypatch, bad: dict):
     monkeypatch.setattr(report, "route_all", route_all)
 
 
-def routed_by(cpus, count, *args):
+def swept_by(cpus, count, *args):
     cpus(count)
-    return report.route_mappings(*args)
+    return report.sweep_mappings(*args)
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="needs a forked worker")
 
 
-def test_route_mappings_is_the_same_in_two_workers(cpus, no_child_left):
+def test_sweep_mappings_is_the_same_in_two_workers(cpus, no_child_left):
     g = bundled_topology("nsfnet")
-    qs = generate_quorums(bundled_base(14, 1))
-    mappings = generate_mappings(14, 5, 3)
-    assert routed_by(cpus, 2, g, qs, mappings) == \
-        routed_by(cpus, 1, g, qs, mappings)
+    args = (g, generate_quorums(bundled_base(14, 1)),
+            generate_mappings(14, 5, 3), TrailMode.SINGLE,
+            enumerate_faults(g, 2))
+    serial = swept_by(cpus, 1, *args)
+    plan = DeploymentPlan(n=14, mode=TrailMode.SINGLE,
+                          cycles=route_all(g, args[1], args[2][4]))
+    assert list(serial[4]) == evaluate(plan, args[4])
+    assert [len(counts) for counts in serial] == [len(args[4])] * 5
+    assert swept_by(cpus, 2, *args) == serial
 
 
 def test_exclusions_are_the_same_in_two_workers(cpus, no_child_left):
     # two triangles joined by the bridge 3-4: every mapping is excluded
     g = Topology(n=6, edges=((1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6),
                              (5, 6)))
-    qs = generate_quorums(QuorumBase(n=6, r=1, members=(1, 2, 4)))
-    mappings = generate_mappings(6, 3, 0)
-
-    def shape(exc):
-        return (type(exc), str(exc),
-                {i: shape(e) for i, e in exc.failures.items()})
-
-    serial = routed_by(cpus, 1, g, qs, mappings)
-    assert all(isinstance(e, RoutingInfeasibleError) for e in serial)
-    assert [shape(e) for e in routed_by(cpus, 2, g, qs, mappings)] \
-        == [shape(e) for e in serial]
+    args = (g, generate_quorums(QuorumBase(n=6, r=1, members=(1, 2, 4))),
+            generate_mappings(6, 3, 0), TrailMode.SINGLE,
+            enumerate_faults(g, 1))
+    serial = swept_by(cpus, 1, *args)
+    assert all(text.startswith("RoutingInfeasibleError: ") and "bridges" in text
+               for text in serial)
+    assert swept_by(cpus, 2, *args) == serial
 
 
 def test_routing_infeasible_error_survives_pickling():
@@ -470,7 +501,7 @@ def test_first_failing_mapping_decides_the_error(monkeypatch, cpus,
     fail_for(monkeypatch, bad)
     for count in (1, 2):
         with pytest.raises(raised):
-            routed_by(cpus, count, *tri_inputs())
+            swept_by(cpus, count, *tri_inputs())
 
 
 class TwoFieldError(Exception):
@@ -484,7 +515,7 @@ def test_unpicklable_worker_error_arrives_as_text(monkeypatch, cpus,
                                                   no_child_left):
     fail_for(monkeypatch, {1: TwoFieldError(7, "odd state")})
     with pytest.raises(RuntimeError) as info:
-        routed_by(cpus, 2, *tri_inputs())
+        swept_by(cpus, 2, *tri_inputs())
     assert str(info.value) == "TwoFieldError: 7: odd state"
     assert "TwoFieldError" in info.value.__notes__[0]
 
@@ -502,13 +533,13 @@ def test_threaded_caller_routes_in_process(monkeypatch, cpus, no_child_left):
     waiter = threading.Thread(target=stop.wait)
     waiter.start()
     try:
-        routed = routed_by(cpus, 2, *tri_inputs())
+        swept = swept_by(cpus, 2, *tri_inputs())
     finally:
         stop.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive()
     assert forks == []
-    assert routed == routed_by(cpus, 1, *tri_inputs())
+    assert swept == swept_by(cpus, 1, *tri_inputs())
 
 
 @needs_fork
@@ -522,7 +553,7 @@ def test_worker_that_dies_without_a_result(monkeypatch, cpus, no_child_left):
 
     monkeypatch.setattr(report, "route_all", route_all)
     with pytest.raises(RuntimeError, match="exited with status 3 before"):
-        routed_by(cpus, 2, *tri_inputs())
+        swept_by(cpus, 2, *tri_inputs())
 
 
 # ---------------------------------------------------------------- emitters

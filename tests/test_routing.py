@@ -309,6 +309,89 @@ def test_layered_paths_under_ban_masks_match_oracle():
             assert bits == routing._walk_bits(g, path)
 
 
+def test_goal_search_equals_the_oracle_at_every_depth():
+    # a search for one goal skips the nodes too far from it to arrive in
+    # time; the goal's entry must be the full search's, and the oracle's
+    # best path whenever that fits under the depth
+    rng = random.Random(20261020)
+    searches = cut = 0
+    for _ in range(150):
+        n = rng.randrange(3, 12)
+        g = graph(n, random_connected_graph(rng, n, rng.randrange(0, n)))
+        adj = adjacency_dict(g)
+        mask = rng.getrandbits(len(g.edges))
+        banned = {frozenset(e) for i, e in enumerate(g.edges) if mask >> i & 1}
+        cset = frozenset(rng.sample(range(1, n + 1), rng.randrange(0, n + 1)))
+        source = rng.randrange(1, n + 1)
+        for goal in g.nodes:
+            path = best_shortest_path(adj, source, goal, banned, cset)
+            for depth in (None, *range(-1, n + 1)):
+                got = routing._layered_paths(g, source, cset, mask, {goal}, depth)
+                full = routing._layered_paths(g, source, cset, mask, (), depth)
+                # the source's own entry is there at any depth
+                fits = path is not None and (depth is None
+                                             or len(path) - 1 <= max(depth, 0))
+                assert got.get(goal) == full.get(goal), (g.edges, mask, source, goal)
+                assert (got[goal][1] if goal in got else None) == (path if fits else None)
+                if fits:
+                    searches += 1
+                    # the full search's nodes up to the goal's layer, which
+                    # a goal search without the cut would settle
+                    cut += len(got) < sum(len(e[1]) <= len(path) for e in full.values())
+    assert searches >= 4000 and cut >= 400, (searches, cut)
+
+
+def test_insert_at_every_limit_matches_scan_of_every_position(monkeypatch):
+    # insert_missing stops its off-cycle search at the depth past which
+    # no detour fits under the limit; at every limit, with a fresh memo
+    # or one shared across the limits in any order, it must pick the
+    # scan's best insertion when that fits and None when it does not
+    rng = random.Random(20261021)
+    full_legs, sizes = routing._off_cycle_legs, []
+    seen = {"inserted": 0, "none": 0, "cut": 0}
+
+    def recording(*args):
+        legs = full_legs(*args)
+        sizes.append(len(legs[0]))
+        return legs
+
+    monkeypatch.setattr(routing, "_off_cycle_legs", recording)
+
+    def inserted(*args, **kwargs):
+        route = insert_missing(*args, **kwargs)
+        return route and route.sequence
+
+    for _ in range(120):
+        n = rng.randrange(5, 15)
+        g = graph(n, random_connected_graph(rng, n, rng.randrange(0, n)))
+        cset = frozenset(rng.sample(range(1, n + 1), rng.randrange(2, min(n, 6) + 1)))
+        cycle = close_cycle(g, ratio_bfs(g, min(cset), cset), cset)
+        if cycle is None:
+            continue
+        adj, seq = adjacency_dict(g), cycle.sequence
+        bits = routing._walk_bits(g, seq)
+        for v in sorted(set(g.nodes) - cycle.nodes):
+            best = best_insertion(adj, seq, v, cset)
+            sizes.clear()
+            limits = list(range(cycle.length - 1, len(g.edges) + 2))
+            want = {limit: None if best is None or best[0] > limit else
+                    seq[:best[1] + 1] + best[2][1:] + seq[best[1] + 2:]
+                    for limit in limits}
+            got = {limit: inserted(g, cycle, v, cset, limit=limit)
+                   for limit in limits}
+            memo = {}
+            rng.shuffle(limits)
+            shared = {limit: inserted(g, cycle, v, cset, limit=limit, memo=memo)
+                      for limit in limits}
+            assert got == want and shared == want, (g.edges, seq, v)
+            seen["inserted"] += sum(w is not None for w in want.values())
+            seen["none"] += sum(w is None for w in want.values())
+            # searches that stopped short of the nodes v reaches
+            whole = len(full_legs(g, v, bits, cset)[0])
+            seen["cut"] += sum(size < whole for size in sizes)
+    assert min(seen.values()) >= 500, seen
+
+
 def test_seed_rank_orders_as_fractions():
     # _rank's float ratio must sort and tie exactly as the fraction does
     # for every path of up to 200 nodes
@@ -569,7 +652,8 @@ def test_insertion_detour_calls_capped(monkeypatch):
     monkeypatch.setattr(routing, "_detour", counting)
     g = bundled_topology("chinese")
     route_all(g, generate_quorums(bundled_base(g.n, 1)), NodeMapping.identity(g.n))
-    # 5,165 calls with the off-cycle distance bound, 14,155 with plain hops
+    # 3,003 calls with the off-cycle distance bound; 14,155 with plain
+    # hops, measured before the finishes were bounded
     assert calls <= 6000, calls
 
 
@@ -587,7 +671,9 @@ def test_bfs_calls_capped(monkeypatch):
     monkeypatch.setattr(routing, "_layered_paths", counting)
     g = bundled_topology("chinese")
     route_all(g, generate_quorums(bundled_base(g.n, 1)), NodeMapping.identity(g.n))
-    # 15,180 calls with tree-derived legs, 26,670 with four searches per detour
+    # 9,756 calls with tree-derived legs, goal searches included; 26,670
+    # with four searches per detour, measured before the finishes were
+    # bounded
     assert calls <= 16000, calls
 
 
@@ -611,8 +697,9 @@ def test_off_cycle_trees_capped(monkeypatch):
 
 @pytest.fixture(scope="module")
 def chinese_r1_settled():
-    # nodes settled by every BFS of the 54-node r=1 identity routing, and
-    # by those run for _densest; counts repeat exactly, unlike timings
+    # nodes settled by every BFS of the 54-node r=1 identity routing, goal
+    # searches included, and by those run for _densest; counts repeat
+    # exactly, unlike timings
     settled = {"all": 0, "densest": 0}
     in_densest = False
     bfs, densest = routing._layered_paths, routing._densest
@@ -640,9 +727,10 @@ def chinese_r1_settled():
 
 
 def test_bfs_settled_nodes_capped(chinese_r1_settled):
-    # finishes bounded by the best cycle so far: 377,994 settled nodes,
-    # 580,529 when every finish runs to the end
-    assert chinese_r1_settled["all"] <= 400_000, chinese_r1_settled
+    # 239,704 settled nodes with goal searches cut by hop distance, off-cycle
+    # trees capped at the limit's depth and the second detour re-search
+    # capped at the first's length; 315,341 without those cuts
+    assert chinese_r1_settled["all"] <= 260_000, chinese_r1_settled
 
 
 def test_densest_settled_nodes_capped(chinese_r1_settled):
