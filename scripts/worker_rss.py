@@ -11,8 +11,9 @@ fixed runs in this process and prints, as one JSON line:
   (RUSAGE_CHILDREN); it counts the pages a worker shares copy-on-write
   with the caller, so it overstates what the worker adds
 - forks: the workers forked over the whole run
-- bound_mb: caller_mb plus largest_worker_mb for each worker that can
-  run at the same time, an upper bound on the run's resident memory
+- bound_mb: caller_mb plus largest_worker_mb for each fork, an upper
+  bound on the run's resident memory: each run maps all its units in
+  one call, so every worker it forks runs at the same time
 
 The runs:
 - report_demo: `report --format csv` on experiments/nsfnet_demo.json
@@ -67,7 +68,6 @@ def main(argv=None) -> int:
     if args.run == "report_demo":
         raw = json.loads((ROOT / "experiments/nsfnet_demo.json").read_text())
         raw["experiments"][0]["seed"] = args.seed
-        mappings = raw["experiments"][0]["mappings"]
         with tempfile.TemporaryDirectory() as tmp:
             spec = Path(tmp) / "spec.json"
             spec.write_text(json.dumps(raw))
@@ -77,23 +77,17 @@ def main(argv=None) -> int:
         if code != 0:
             return code
     else:
-        mappings = 2
         report.run_experiment(report.ExperimentSpec(
             network="chinese", topology="chinese", r_values=(1,),
             modes=(TrailMode.PAIRED, TrailMode.SINGLE), fault_orders=(1, 2),
-            mapping_count=mappings, seed=args.seed))
+            mapping_count=2, seed=args.seed))
 
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
     caller = mb(resource.RUSAGE_SELF)
     worker = mb(resource.RUSAGE_CHILDREN) if forks else 0.0
-    at_once = min(cpus, mappings) - 1 if forks else 0
-    print(json.dumps({"run": args.run, "seed": args.seed, "cpus": cpus,
+    print(json.dumps({"run": args.run, "seed": args.seed,
                       "caller_mb": caller, "largest_worker_mb": worker,
                       "forks": len(forks),
-                      "bound_mb": round(caller + at_once * worker, 2)}))
+                      "bound_mb": round(caller + len(forks) * worker, 2)}))
     return 0
 
 

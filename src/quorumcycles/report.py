@@ -17,6 +17,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import marshal
+import os
+import sys
 from array import array
 from dataclasses import dataclass
 from math import sqrt
@@ -255,8 +258,9 @@ def _fork_map(fn, items: Sequence) -> list:
     """[fn(item) for item in items], with item i run by worker i % workers.
 
     There is one worker per CPU in the affinity mask, at most one per
-    item.  fn must return values marshal can carry.  This process is
-    worker 0 and forks the others, unless it runs other threads.  Each
+    item and at least one.  fn must return values marshal can carry.
+    This process is worker 0 and forks the others; it is the only one
+    when it runs other threads or the platform has no os.fork.  Each
     child sends its share back through a pipe and leaves by os._exit,
     so it never flushes the caller's stdio or runs exit handlers.  Every
     child is read and waited for, even when this process's own share
@@ -267,22 +271,16 @@ def _fork_map(fn, items: Sequence) -> list:
     RuntimeError carrying them.  Either way it loses its traceback,
     __cause__ and __context__.
     """
-    # call-time imports, so that importing this module stays as cheap
-    # as it is
-    import os
-    import sys
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    workers = min(cpus, len(items))
     # a child forked beside another thread may inherit a lock held forever
     threading = sys.modules.get("threading")
     threaded = threading is not None and threading.active_count() > 1
-    if workers <= 1 or threaded or not hasattr(os, "fork"):
-        return [fn(item) for item in items]
-
-    import marshal
+    if threaded or not hasattr(os, "fork"):
+        cpus = 1
+    workers = max(1, min(cpus, len(items)))
     shares = [None] * workers
     pipes, pids = {}, {}
     try:
@@ -339,7 +337,6 @@ def _child(fn, items: Sequence, k: int, step: int,
     It closes the read ends it holds, its own and the earlier workers',
     so a parent that stops reading makes a child's write fail at once.
     """
-    import os
     r, w = pipe
     code = 1
     try:
@@ -374,8 +371,7 @@ def _share_payload(share: tuple) -> bytes:
     that does not survive the pickle round trip is sent as a
     RuntimeError naming its type and message, its traceback as a note.
     """
-    import marshal
-    results, index, exc = share
+    _, index, exc = share
     if exc is None:
         return marshal.dumps(share)
     import pickle

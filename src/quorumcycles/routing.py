@@ -44,11 +44,6 @@ class RoutingInfeasibleError(Exception):
     """No valid cycle exists for a communication set (or, for route_all,
     at least one quorum could not be routed)."""
 
-    def __init__(self, message: str,
-                 failures: dict[int, RoutingInfeasibleError] | None = None):
-        self.failures = failures or {}
-        super().__init__(message)
-
 
 def _walk_edges(seq: tuple[int, ...]):
     """The links a node sequence crosses, in order, as a lazy iterator."""
@@ -551,26 +546,23 @@ def route_cycle(g: Topology, c: frozenset[int] | set[int],
 def route_all(g: Topology, qs: QuorumSet, m: NodeMapping) -> tuple[CycleRoute, ...]:
     """Route every quorum under a node relabeling.
 
-    The cycle for quorum i gets hub m(i).  All failures are collected and
-    raised together so a caller can report or exclude the whole mapping;
-    a result thus holds every quorum's cycle, quorum i's at index i - 1.
+    The cycle for quorum i gets hub m(i).  One error names every quorum
+    that fails, so a caller can report or exclude the whole mapping; a
+    result thus holds every quorum's cycle, quorum i's at index i - 1.
     """
     if qs.n != g.n or m.n != g.n:
         raise ValueError(
             f"size mismatch: topology n={g.n}, quorums n={qs.n}, mapping n={m.n}"
         )
-    routes = []
-    failures: dict[int, RoutingInfeasibleError] = {}
+    routes, failures = [], []
     for i, quorum in enumerate(qs.quorums, start=1):
         cset = relabel(quorum, m)
         try:
             routes.append(route_cycle(g, cset, hub=m.apply(i)))
         except RoutingInfeasibleError as exc:
-            failures[i] = exc
+            failures.append(f"quorum {i}: {exc}")
     if failures:
-        summary = "; ".join(f"quorum {i}: {err}" for i, err in sorted(failures.items()))
         raise RoutingInfeasibleError(
-            f"{len(failures)} of {qs.n} quorums could not be routed: {summary}",
-            failures=failures,
-        )
+            f"{len(failures)} of {qs.n} quorums could not be routed: "
+            + "; ".join(failures))
     return tuple(routes)

@@ -59,8 +59,8 @@ def second_mapping_unroutable(monkeypatch):
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Call with a count to give route_mappings that many CPUs, and so
-    that many workers at most, on any platform and machine."""
+    """Call with a count to give report._fork_map that many CPUs, and
+    so that many workers at most, on any platform and machine."""
     def set_cpus(count: int) -> None:
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(count)), raising=False)

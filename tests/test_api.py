@@ -47,7 +47,7 @@ def test_import_leaves_numpy_unloaded():
 def test_compile_peaks_stay_small():
     # where no bytecode is cached, every import compiles the package, so
     # the largest module's compile peak is part of any run's peak memory:
-    # 1,425 KB for routing.py, where one more copy of its BFS loop costs
+    # 1,399 KB for routing.py, where one more copy of its BFS loop costs
     # about 300 KB
     peaks = {}
     for path in sorted(PACKAGE.glob("*.py")):

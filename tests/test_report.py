@@ -446,6 +446,21 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="needs a forked worker")
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the workers forked while the test runs."""
+    real, pids = os.fork, []
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
 def test_sweep_mappings_is_the_same_in_two_workers(cpus, no_child_left):
     g = bundled_topology("nsfnet")
     args = (g, generate_quorums(bundled_base(14, 1)),
@@ -473,14 +488,10 @@ def test_exclusions_are_the_same_in_two_workers(cpus, no_child_left):
 
 
 def test_routing_infeasible_error_survives_pickling():
-    inner = RoutingInfeasibleError("every seed failed")
-    exc = RoutingInfeasibleError("1 of 3 quorums could not be routed",
-                                 failures={2: inner})
+    exc = RoutingInfeasibleError("1 of 3 quorums could not be routed")
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is RoutingInfeasibleError
     assert str(back) == str(exc)
-    assert list(back.failures) == [2]
-    assert str(back.failures[2]) == "every seed failed"
 
 
 def test_worker_programming_error_propagates(monkeypatch, tmp_path, cpus,
@@ -521,14 +532,41 @@ def test_unpicklable_worker_error_arrives_as_text(monkeypatch, cpus,
 
 
 @needs_fork
-def test_threaded_caller_routes_in_process(monkeypatch, cpus, no_child_left):
-    real, forks = os.fork, []
+@pytest.mark.parametrize("count", [1, 2])
+def test_no_mappings_fork_nothing(cpus, no_child_left, forks, count):
+    g, qs, _, mode, scenarios = tri_inputs()
+    assert swept_by(cpus, count, g, qs, [], mode, scenarios) == []
+    assert forks == []
 
-    def fork():
-        forks.append(1)
-        return real()
 
-    monkeypatch.setattr(os, "fork", fork)
+class Interrupt(BaseException):
+    pass
+
+
+@needs_fork
+@pytest.mark.parametrize("count", [1, 2])
+def test_base_exception_stops_the_callers_share(monkeypatch, cpus,
+                                                no_child_left, forks, count):
+    parent, real, mappings = os.getpid(), report.route_all, tri_inputs()[2]
+    routed = []
+
+    def route_all(g, qs, m):
+        if os.getpid() == parent:
+            routed.append(m)
+            if len(routed) == 1:
+                raise Interrupt
+        return real(g, qs, m)
+
+    monkeypatch.setattr(report, "route_all", route_all)
+    with pytest.raises(Interrupt):
+        swept_by(cpus, count, *tri_inputs())
+    # mapping 0 is the caller's first; nothing after it ran here
+    assert routed == [mappings[0]]
+    assert len(forks) == count - 1
+
+
+@needs_fork
+def test_threaded_caller_routes_in_process(cpus, no_child_left, forks):
     stop = threading.Event()
     waiter = threading.Thread(target=stop.wait)
     waiter.start()

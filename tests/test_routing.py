@@ -601,7 +601,11 @@ def test_route_all_aggregates_failures():
     qs = generate_quorums(QuorumBase(n=6, r=1, members=(1, 2, 4)))
     with pytest.raises(RoutingInfeasibleError) as info:
         route_all(g, qs, NodeMapping.identity(6))
-    assert info.value.failures  # per-quorum detail preserved
+    # the bridge 3-4 separates every quorum, and the message names each
+    assert str(info.value) == "6 of 6 quorums could not be routed: " + "; ".join(
+        f"quorum {i}: every seed failed for communication set {sorted(q)}; "
+        "bridges separating the set: [(3, 4)]"
+        for i, q in enumerate(qs.quorums, start=1))
 
 
 def test_route_all_nsfnet_r1():
