@@ -11,6 +11,11 @@ quorums.  A base is r-redundant when count(d) >= r for every distance
 class d in 1..floor(n/2), i.e. every unordered node pair shares at least
 r quorums.  `search_min_base` finds the smallest such base by exhaustive
 lexicographic search with pruning, subject to an optional node budget.
+Besides a counting bound, the search cuts symmetric prefixes: rotations
+and the maps x -> u*x for a unit u mod n send r-redundant bases to
+r-redundant bases, so a prefix that such a map sends below itself holds
+no level's smallest base.  The node counts, and so the budgets, are
+those of the cut tree.
 """
 
 from __future__ import annotations
@@ -228,6 +233,31 @@ def search_floor(n: int, r: int) -> int:
     return k
 
 
+def _mapped_below(fwd: int, x: int, n: int, inverse: dict) -> bool:
+    """True when a map taking a to 1 and b to 2, with a or b the newest
+    member x, sends the prefix mask fwd to a set sorting below it.
+
+    The map is y -> u*(y - a) mod n + 1 with u = inverse[(b - a) mod n];
+    `_search_level` gives the argument for the cut.
+    """
+    placed, older = [x], fwd ^ 1 << x
+    while older:
+        bit = older & -older
+        placed.append(bit.bit_length() - 1)
+        older ^= bit
+    for s in placed[1:]:
+        for a, d in ((x, s - x), (s, x - s)):
+            u = inverse.get(d % n)
+            if u:
+                image = 0
+                for y in placed:
+                    image |= 1 << (u * (y - a) % n + 1)
+                diff = image ^ fwd
+                if image & diff & -diff:
+                    return True
+    return False
+
+
 class _LevelBudgetUp(Exception):
     def __init__(self, frontier: tuple[int, ...]):
         self.frontier = frontier
@@ -264,6 +294,25 @@ def _search_level(n: int, r: int, k_hat: int, counter: list[int],
     fwd << c and from above by x in fwd << (n - c) (none for the half-way
     class), so the valid x form one int mask.  The counter still counts
     the slot's candidates up to the lowest valid x, or all if none is.
+
+    Multiplier cut: for a unit u mod n, g(y) = u*(y - a) mod n + 1
+    multiplies every difference by u, which permutes the distance classes
+    (on even n a unit is odd and keeps the half-way class), so g maps an
+    r-redundant base to an r-redundant base of the same size.  Taking a
+    member a to 1 and a member b to 2 needs u = (b - a)^-1, so b - a must
+    be a unit.  A child prefix P is pruned when such a g sends P to a set
+    sorting below P.  g(P) is a subset of g(B) for every completion B of
+    P, so the i-th smallest of g(B) is at most the i-th smallest of g(P);
+    B's |P| smallest members are P, so g(B) sorts below B as well, and
+    g(B) holds 1 and 2 and is valid.  So the level's smallest valid base
+    is never pruned: every returned base and exhausted level is the same
+    as without the cut, and only the node count falls.  In masks, the
+    image sorts below fwd exactly when the lowest bit of image ^ fwd lies
+    in the image.  The rule is fixed: only the maps with a or b the
+    newest member x, and only on children of at most 5 members that keep
+    2 or more slots, never in the closed-form last slot.  Deeper prefixes
+    are seldom pruned, and checking them costs more than it saves.  A
+    pruned candidate still counts as one node.
     """
     half = n // 2
     low = (1 << (half + 1)) - 2         # classes 1..half
@@ -275,6 +324,8 @@ def _search_level(n: int, r: int, k_hat: int, counter: list[int],
     limit = sys.maxsize if max_nodes is None else max_nodes
     nodes = counter[0]
     layers = range(r)
+    inverse = {d: u for d in range(1, n) for u in range(1, n)
+               if d * u % n == 1}          # unit d -> d^-1 mod n
 
     def members(fwd: int) -> tuple[int, ...]:
         return tuple(s for s in range(1, n + 1) if fwd >> s & 1)
@@ -305,6 +356,7 @@ def _search_level(n: int, r: int, k_hat: int, counter: list[int],
         # before the call, when its deficit exceeds its future pairs
         rest = slots - 1
         bound = (k_hat - rest) * rest + rest * (rest - 1) // 2
+        shallow = rest >= 2 and k_hat - rest <= 5
         need0, need1, need2 = need[0], need[1], need[2]
         for x in range(last + 1, n - slots + 2 if last > 1 else 3):
             nodes += 1
@@ -317,7 +369,8 @@ def _search_level(n: int, r: int, k_hat: int, counter: list[int],
             both = lo & hi
             left = (deficit - (need0 & hit).bit_count()
                     - (need1 & both).bit_count())
-            if left > bound:
+            if left > bound or shallow and _mapped_below(
+                    fwd | 1 << x, x, n, inverse):
                 continue
             keep, once = ~hit, hit ^ both
             if rest == 1:

@@ -67,9 +67,13 @@ def _reference_level(n, r, k_hat, counter, max_nodes):
     """One size level of the closure DFS the bitmask kernel replaced.
 
     Per-class counts and a running unit deficit, updated member by member
-    on the way down and undone on the way back.  It makes the kernel's two
-    cuts: a pair clears at most one unit (the half-way class needs only
-    ceil(r/2) pairs), and the first slot tries only x = 2.
+    on the way down and undone on the way back.  It makes the kernel's
+    three cuts: a pair clears at most one unit (the half-way class needs
+    only ceil(r/2) pairs), the first slot tries only x = 2, and a prefix
+    of at most 5 members with 2 or more slots left is dropped when some
+    map y -> u*(y - a) mod n + 1 taking one member a to 1 and another b
+    to 2, with a or b the newest member, sends it to a tuple sorting
+    below it (`mapped_below`).
     """
     half = n // 2
     even = n % 2 == 0
@@ -120,6 +124,8 @@ def _reference_level(n, r, k_hat, counter, max_nodes):
         future_pairs = placed * slots + slots * (slots - 1) // 2
         if deficit > future_pairs:
             return
+        if slots >= 2 and placed <= 5 and mapped_below(members, n):
+            return
         for x in range(last + 1, n - slots + 2 if last > 1 else 3):
             counter[0] += 1
             if max_nodes is not None and counter[0] > max_nodes:
@@ -132,6 +138,24 @@ def _reference_level(n, r, k_hat, counter, max_nodes):
 
     extend(1, k_hat - 1)
     return found
+
+
+def mapped_below(members, n):
+    """True when a map through the last member sends the tuple below itself.
+
+    The maps are y -> u*(y - a) mod n + 1 with u = (b - a)^-1 mod n, so a
+    goes to 1 and b to 2; one of a, b is the last member.
+    """
+    prefix = tuple(members)
+    newest = prefix[-1]
+    for other in prefix[:-1]:
+        for a, b in ((newest, other), (other, newest)):
+            units = [u for u in range(1, n) if (b - a) * u % n == 1]
+            for u in units:
+                image = tuple(sorted(u * (y - a) % n + 1 for y in prefix))
+                if image < prefix:
+                    return True
+    return False
 
 
 def reference_search(n, r, max_nodes=None):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from pathlib import Path
 
@@ -248,16 +249,16 @@ def test_search_budget_sweep_matches_reference(n, r):
 def test_search_node_count_pinned():
     # the benchmark's (29, 2) case; a drift in the counter fails here first
     result = search_min_base(29, 2)
-    assert result.nodes_explored == 55_819
+    assert result.nodes_explored == 10_962
     assert result.exhausted_k == (8,)
     assert result.base.members == (1, 2, 3, 4, 5, 6, 10, 16, 23)
 
 
 # the benchmark's other search cases, beyond the n <= 30 reference sweep
 BENCHMARK_CASES = [
-    (28, 2, 117_104, (8,), (1, 2, 3, 4, 5, 6, 9, 15, 22)),
-    (41, 1, 85_832, (7,), (1, 2, 3, 4, 5, 10, 16, 26)),
-    (43, 1, 40_573, (7,), (1, 2, 3, 4, 5, 11, 16, 27)),
+    (28, 2, 45_643, (8,), (1, 2, 3, 4, 5, 6, 9, 15, 22)),
+    (41, 1, 13_123, (7,), (1, 2, 3, 4, 5, 10, 16, 26)),
+    (43, 1, 6_026, (7,), (1, 2, 3, 4, 5, 11, 16, 27)),
     (40, 2, 176_239, (), (1, 2, 3, 4, 6, 10, 15, 16, 23, 26)),
 ]
 
@@ -370,6 +371,34 @@ def test_bundled_base_labels_hold(path):
     else:
         # a base at the floor would itself prove minimality
         assert label["k_hat"] > search_floor(n, r)
+
+
+# a random r-redundant base: random members added in a random order until
+# every distance class is covered r times
+redundant_base_strategy = st.integers(2, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, min(3, n)), st.integers(0, 10),
+    st.permutations(range(2, n + 1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(redundant_base_strategy)
+def test_multiplier_maps_keep_redundancy(case):
+    # the premise of the search's multiplier cut: y -> u*(y - a) mod n + 1
+    # takes a valid base to a valid base, its counts permuted by d -> u*d
+    n, r, size, order = case
+    members = [1, *order[:size]]
+    for x in order[size:]:
+        if is_r_redundant(base(n, members, r=r)):
+            break
+        members.append(x)
+    counts = difference_counts(base(n, members, r=r))
+    assert min(counts.values()) >= r
+    for u in (u for u in range(1, n) if math.gcd(u, n) == 1):
+        moved = {min(u * d % n, n - u * d % n): c for d, c in counts.items()}
+        for a in members:
+            image = base(n, (u * (y - a) % n + 1 for y in members), r=r)
+            assert is_r_redundant(image), (n, r, members, u, a)
+            assert difference_counts(image) == moved, (n, members, u, a)
 
 
 def test_random_bases_against_oracle_bulk():
