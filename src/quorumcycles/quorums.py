@@ -311,7 +311,7 @@ def _search_level(n: int, r: int, k_hat: int, counter: list[int],
     in the image.  The rule is fixed: only the maps with a or b the
     newest member x, and only on children of at most 5 members that keep
     2 or more slots, never in the closed-form last slot.  Deeper prefixes
-    are seldom pruned, and checking them costs more than it saves.  A
+    prune little on levels that find a base, and slow such levels.  A
     pruned candidate still counts as one node.
     """
     half = n // 2
