@@ -9,7 +9,7 @@ coverage across randomized node mappings.
 from .topology import (BUNDLED, NodeMapping, Topology, TopologyError,
                        bundled_topology, find_bridges, generate_mappings,
                        load_topology, parse_topology, relabel,
-                       serialize_topology, topology_to_json)
+                       serialize_topology)
 from .quorums import (InfeasibleRedundancyError, QuorumBase, QuorumSet,
                       SearchBudget, SearchBudgetExhausted, SearchResult,
                       VerificationReport, bundled_base, difference_counts,
@@ -23,8 +23,7 @@ from .lighttrail import (DeploymentPlan, FaultModel, TrailMode, links_used,
 from .faultsim import enumerate_faults, evaluate
 from .report import (CISummary, ExperimentError, ExperimentSpec,
                      InsufficientSamplesError, ResultRow, emit,
-                     load_experiment_spec, mean_ci, parse_rows_csv,
-                     run_experiment)
+                     load_experiment_spec, mean_ci, run_experiment)
 
 __version__ = "0.1.0"
 
@@ -40,8 +39,7 @@ __all__ = [
     "generate_mappings", "generate_quorums", "insert_missing",
     "is_r_redundant", "links_used", "load_base", "load_experiment_spec",
     "load_topology", "mean_ci", "missing_pairs", "pair_coverage",
-    "parse_rows_csv", "parse_topology", "ratio_bfs", "relabel", "route_all",
+    "parse_topology", "ratio_bfs", "relabel", "route_all",
     "route_cycle", "run_experiment", "save_base", "search_min_base",
-    "serialize_topology", "served_pairs_plan",
-    "topology_to_json", "verify_quorum_set",
+    "serialize_topology", "served_pairs_plan", "verify_quorum_set",
 ]

@@ -13,9 +13,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .lighttrail import DeploymentPlan, FaultModel, served_bits
-from .topology import Topology
-
-Edge = tuple[int, int]
+from .topology import Edge, Topology
 
 
 def enumerate_faults(g: Topology, order: int) -> tuple[tuple[Edge, ...], ...]:

@@ -21,8 +21,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .routing import CycleRoute
-
-Edge = tuple[int, int]
+from .topology import Edge
 
 
 class TrailMode(str, Enum):

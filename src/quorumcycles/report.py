@@ -33,8 +33,8 @@ from .lighttrail import (DeploymentPlan, FaultModel, TrailMode, links_used,
 from .quorums import (DEFAULT_SEARCH_BUDGET, QuorumBase, QuorumSet,
                       SearchBudget, SearchBudgetExhausted, bundled_base,
                       generate_quorums, is_r_redundant, load_base, search_min_base)
-from .routing import Edge, RoutingInfeasibleError, route_all
-from .topology import (BUNDLED, NodeMapping, Topology, bundled_topology,
+from .routing import RoutingInfeasibleError, route_all
+from .topology import (BUNDLED, Edge, NodeMapping, Topology, bundled_topology,
                        generate_mappings, load_topology)
 
 # normal-approximation z for the 95% level; sample counts here are large
@@ -478,7 +478,7 @@ def _cells(row: ResultRow) -> tuple:
 
 
 def _emit_csv(rows: Sequence[ResultRow]) -> str:
-    # repr() floats round-trip exactly, keeping csv -> parse lossless
+    # repr() floats round-trip exactly: float() reads each one back
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_COLUMNS)
@@ -486,22 +486,6 @@ def _emit_csv(rows: Sequence[ResultRow]) -> str:
         writer.writerow([repr(v) if isinstance(v, float) else v
                          for v in _cells(row)])
     return buf.getvalue()
-
-
-def parse_rows_csv(text: str) -> list[ResultRow]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header) != _COLUMNS:
-        raise ValueError(f"unexpected csv header: {header}")
-    rows = []
-    for rec in reader:
-        if len(rec) != len(_COLUMNS):
-            raise ValueError(f"row has {len(rec)} cells: {rec}")
-        rows.append(ResultRow(
-            network=rec[0], r=int(rec[1]), mode=rec[2], metric=rec[3],
-            fault_order=int(rec[4]), mean=float(rec[5]), lo=float(rec[6]),
-            hi=float(rec[7]), n=int(rec[8]), excluded=int(rec[9])))
-    return rows
 
 
 def _emit_json(rows: Sequence[ResultRow]) -> str:

@@ -22,7 +22,9 @@ that walk is the result only when no finish fits.  Each stage returns
 None once nothing fits under the bound; the shortest cycle wins.
 Seeds often close the same cycle, so the finishes of one route_cycle
 call share each off-cycle search and detour of insert_missing, keyed
-by the cycle's links and the member spliced in.
+by the cycle's links and the member spliced in.  The memo's contract:
+calls that share it never raise the limit, and within one route_cycle
+call the limit only falls.
 
 Ties everywhere break deterministically (fewer hops, then lexicographic
 node sequence) so routing is reproducible.
@@ -33,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .quorums import QuorumSet
-from .topology import NodeMapping, Topology, canonical_edge, find_bridges, relabel
+from .topology import (Edge, NodeMapping, Topology, canonical_edge,
+                       find_bridges, relabel)
 
-Edge = tuple[int, int]
 # a _layered_paths entry: members on the path, the path, its link bits
 Entry = tuple[int, tuple[int, ...], int]
 
@@ -79,14 +81,6 @@ class CycleRoute:
     @property
     def edge_list(self) -> tuple[Edge, ...]:
         return tuple(_walk_edges(self.sequence))
-
-    @property
-    def edges(self) -> frozenset[Edge]:
-        return frozenset(self.edge_list)
-
-    @property
-    def nodes(self) -> frozenset[int]:
-        return frozenset(self.sequence)
 
 
 def _check_nodes(g: Topology, nodes, what: str) -> None:
@@ -325,12 +319,14 @@ def insert_missing(g: Topology, route: CycleRoute, v: int,
     when no such cycle has at most limit links; the default limit, the
     graph's link count, drops no edge-distinct cycle.
 
-    memo, shared by calls on one g and c, keeps per (cycle link bits, v)
-    the off-cycle legs with their depth, and each link's detour with
-    the room it was found under.  A detour found under a room is the
-    one every larger room finds, so it answers any room it fits; None
-    under a room answers any smaller one.  Other lookups search again,
-    so the result never depends on the memo.
+    memo, shared by calls on one g and c that never raise the limit,
+    keeps per (cycle link bits, v) the off-cycle legs, searched to the
+    depth the first call's limit needs, and each link's detour with the
+    room it was found under.  A detour found under a room is the one
+    every larger room finds, so it answers any room it fits; None under
+    a room answers any smaller one, and a larger room searches again.
+    So the result never depends on the memo; a raised limit fails an
+    assertion, since its legs would need a deeper search.
     """
     seq = route.sequence
     _check_nodes(g, (v,) + seq, "node")
@@ -351,11 +347,9 @@ def insert_missing(g: Topology, route: CycleRoute, v: int,
     reach = (limit - len(seq) + 1) // 2 + 1
     key = (cycle_bits, v)
     held = memo.get(key)
-    # legs searched for a smaller limit are searched again, deeper; the
-    # detours they gave stay exact
-    if held is None or held[0] < reach:
-        held = memo[key] = (reach, *_off_cycle_legs(g, v, cycle_bits, cset, reach),
-                            held[3] if held else {})
+    if held is None:
+        held = memo[key] = (reach, *_off_cycle_legs(g, v, cycle_bits, cset, reach), {})
+    assert held[0] >= reach, "calls sharing a memo may not raise the limit"
     _, dv, legs, detours = held
     far = g.n + 1
     # with only (a, b) unbanned, a shortest a -> v leg either avoids (a, b)

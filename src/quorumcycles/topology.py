@@ -80,9 +80,6 @@ class Topology:
     def nodes(self) -> range:
         return range(1, self.n + 1)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return 1 <= u <= self.n and v in self.link_bits[u]
-
     def degree(self, v: int) -> int:
         if not 1 <= v <= self.n:
             raise ValueError(f"node {v} out of range 1..{self.n}")
@@ -201,10 +198,6 @@ def serialize_topology(t: Topology) -> str:
     out = [f"n {t.n}"]
     out.extend(f"{u} {v}" for u, v in t.edges)
     return "\n".join(out) + "\n"
-
-
-def topology_to_json(t: Topology) -> str:
-    return json.dumps({"n": t.n, "edges": [list(e) for e in t.edges]})
 
 
 def load_topology(path: str) -> Topology:

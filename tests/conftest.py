@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import os
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from quorumcycles import cli, report
+from quorumcycles import ResultRow, cli, report
 from quorumcycles.routing import RoutingInfeasibleError
 from quorumcycles.topology import Topology
 
@@ -65,6 +67,14 @@ def cpus(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(count)), raising=False)
     return set_cpus
+
+
+def read_rows(text: str) -> list[ResultRow]:
+    """The rows of a report csv below its header: float() reads each
+    float cell back exactly, since the csv writes repr values."""
+    cells = (str, int, str, str, int, float, float, float, int, int)
+    return [ResultRow(*(cast(cell) for cast, cell in zip(cells, record)))
+            for record in list(csv.reader(io.StringIO(text)))[1:]]
 
 
 def adjacency_dict(t: Topology) -> dict[int, tuple[int, ...]]:

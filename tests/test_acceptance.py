@@ -33,7 +33,6 @@ from quorumcycles import (
     is_r_redundant,
     load_experiment_spec,
     missing_pairs,
-    parse_rows_csv,
     route_all,
     route_cycle,
     run_experiment,
@@ -44,6 +43,7 @@ from quorumcycles import (
 )
 from quorumcycles.cli import main as cli_main
 
+from conftest import read_rows
 from oracles import (
     min_base_exhaustive,
     minimal_cycle_length,
@@ -268,7 +268,7 @@ def test_desk_table_is_exactly_the_desk_grid():
             for s in specs for r in s.r_values for mode in s.modes
             for metric, order in [("links", 0), ("missing", 0), ("missing_pct", 0)]
             + [("coverage", o) for o in s.fault_orders]]
-    rows = parse_rows_csv(DESK_TABLE.read_text(encoding="utf-8"))
+    rows = read_rows(DESK_TABLE.read_text(encoding="utf-8"))
     assert [(row.network, row.r, row.mode, row.metric, row.fault_order)
             for row in rows] == want
     mappings = {s.network: s.mapping_count for s in specs}
@@ -293,7 +293,7 @@ def test_criterion_8_structural_fault_properties():
             cycles.append(CycleRoute(sequence=tuple(nodes) + (nodes[0],)))
         plans = {mode: DeploymentPlan(n=n, mode=mode, cycles=tuple(cycles))
                  for mode in TrailMode}
-        edges = sorted({e for c in cycles for e in c.edges})
+        edges = sorted({e for c in cycles for e in c.edge_list})
         fewer = rng.sample(edges, min(len(edges), rng.randint(1, 2)))
         extra = fewer + rng.sample([e for e in edges if e not in fewer],
                                    min(1, len(edges) - len(fewer)))

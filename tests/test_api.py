@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,6 +15,7 @@ from quorumcycles import (CycleRoute, DeploymentPlan, NodeMapping, Topology,
                           TrailMode)
 
 PACKAGE = Path(quorumcycles.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_no_private_imports_across_modules():
@@ -32,6 +34,38 @@ def test_all_names_resolve_once():
     assert [n for n in names if not hasattr(quorumcycles, n)] == []
 
 
+def test_public_names_are_pinned():
+    # widening the API is a reviewed edit of this list
+    assert sorted(quorumcycles.__all__) == [
+        "BUNDLED", "CISummary", "CycleRoute", "DeploymentPlan",
+        "ExperimentError", "ExperimentSpec", "FaultModel",
+        "InfeasibleRedundancyError", "InsufficientSamplesError",
+        "NodeMapping", "QuorumBase", "QuorumSet", "ResultRow",
+        "RoutingInfeasibleError", "SearchBudget", "SearchBudgetExhausted",
+        "SearchResult", "Topology", "TopologyError", "TrailMode",
+        "VerificationReport", "bundled_base", "bundled_topology",
+        "close_cycle", "difference_counts", "emit", "enumerate_faults",
+        "evaluate", "find_bridges", "generate_mappings", "generate_quorums",
+        "insert_missing", "is_r_redundant", "links_used", "load_base",
+        "load_experiment_spec", "load_topology", "mean_ci", "missing_pairs",
+        "pair_coverage", "parse_topology", "ratio_bfs", "relabel",
+        "route_all", "route_cycle", "run_experiment", "save_base",
+        "search_min_base", "serialize_topology", "served_pairs_plan",
+        "verify_quorum_set",
+    ]
+
+
+def test_readme_library_block_prints_what_its_comments_say():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Library\n\n```python\n(.*?)```", readme, re.S)
+    proc = subprocess.run(
+        [sys.executable, "-c", block], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    missing, coverage, either_way = proc.stdout.splitlines()
+    assert (missing, either_way) == ("0", "True")
+    assert coverage.startswith("0.987"), coverage
+
+
 def test_import_leaves_numpy_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -47,7 +81,7 @@ def test_import_leaves_numpy_unloaded():
 def test_compile_peaks_stay_small():
     # where no bytecode is cached, every import compiles the package, so
     # the largest module's compile peak is part of any run's peak memory:
-    # 1,399 KB for routing.py, where one more copy of its BFS loop costs
+    # 1,382 KB for routing.py, where one more copy of its BFS loop costs
     # about 300 KB
     peaks = {}
     for path in sorted(PACKAGE.glob("*.py")):

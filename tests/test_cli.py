@@ -10,9 +10,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from quorumcycles import (QuorumBase, bundled_base, cli, parse_rows_csv,
-                          save_base)
+from quorumcycles import QuorumBase, bundled_base, cli, save_base
 from quorumcycles.cli import main
+
+from conftest import read_rows
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -363,7 +364,7 @@ def test_report_and_simulate_measure_the_same_coverage(capsys, tmp_path):
     code, out, _ = run(capsys, "report", "--spec-file", str(spec),
                        "--format", "csv")
     assert code == 0
-    (cov,) = [r for r in parse_rows_csv(out) if r.metric == "coverage"]
+    (cov,) = [r for r in read_rows(out) if r.metric == "coverage"]
     code, out, _ = run(capsys, "simulate", "--topology", "nsfnet",
                        "--base-file", str(base),
                        "--mode", "single", "--faults", "2",
@@ -397,7 +398,7 @@ def test_report_csv(capsys, tmp_path, tri_files):
     code, out, _ = run(capsys, "report", "--spec-file", str(spec),
                        "--format", "csv")
     assert code == 0
-    rows = parse_rows_csv(out)
+    rows = read_rows(out)
     assert {r.metric for r in rows} == {"links", "missing", "missing_pct",
                                         "coverage"}
     assert all(r.network == "tri" for r in rows)
@@ -457,7 +458,7 @@ def test_report_reads_spec_as_utf8_under_ascii_locale(tmp_path):
              "--spec-file", str(spec), "--format", "csv"],
             capture_output=True, env={**env, **extra})
         assert (proc.returncode, proc.stderr) == (0, b""), extra
-        rows = parse_rows_csv(proc.stdout.decode("utf-8"))
+        rows = read_rows(proc.stdout.decode("utf-8"))
         assert {row.network for row in rows} == {"nsfnet-Zürich"}, extra
 
 

@@ -151,7 +151,7 @@ def ring_plan_case(draw):
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         nodes = rng.sample(range(1, n + 1), rng.randint(3, n))
         cycles.append(CycleRoute(sequence=tuple(nodes) + (nodes[0],)))
-    edges = sorted({e for c in cycles for e in c.edges})
+    edges = sorted({e for c in cycles for e in c.edge_list})
     return n, cycles, edges, rng
 
 
@@ -258,6 +258,7 @@ def test_evaluate_matches_plan_union_on_chinese_plans(mapping):
             links[rng.randrange(len(links))] = off_cycle
         scenarios.append(tuple(links))
     failed = [{tuple(sorted(e)) for e in s} for s in scenarios]
-    shared = sum(any(len(c.edges & f) >= 2 for c in cycles) for f in failed)
+    shared = sum(any(len(f.intersection(c.edge_list)) >= 2 for c in cycles)
+                 for f in failed)
     assert shared >= 50, shared
     assert_evaluate_matches_plan_union(g.n, cycles, scenarios)

@@ -214,7 +214,7 @@ def ring_cycles(draw, n):
 def plan_and_faults(draw):
     n = draw(st.integers(min_value=4, max_value=9))
     cycles = ring_cycles(draw, n)
-    all_edges = sorted({e for c in cycles for e in c.edges})
+    all_edges = sorted({e for c in cycles for e in c.edge_list})
     k = draw(st.integers(min_value=0, max_value=min(3, len(all_edges))))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     failed = rng.sample(all_edges, k)

@@ -30,7 +30,6 @@ from quorumcycles import (
     generate_quorums,
     load_experiment_spec,
     mean_ci,
-    parse_rows_csv,
     route_all,
     run_experiment,
     save_base,
@@ -38,6 +37,7 @@ from quorumcycles import (
 
 from quorumcycles import report
 
+from conftest import read_rows
 from oracles import mean_interval
 
 
@@ -613,25 +613,16 @@ def test_emit_csv_round_trip():
     assert lines[0] == ("network,r,mode,metric,fault_order,"
                         "mean,lo,hi,n,excluded_mappings")
     assert len(lines) == 13
-    assert parse_rows_csv(text) == rows
+    assert read_rows(text) == rows
 
 
 def test_emit_csv_is_lossless(tmp_path):
     row = ResultRow(network="x", r=1, mode="paired", metric="coverage",
                     fault_order=2, mean=1 / 3, lo=0.1 + 0.2, hi=0.5,
                     n=7, excluded=1)
-    (back,) = parse_rows_csv(emit([row], "csv"))
+    (back,) = read_rows(emit([row], "csv"))
     assert back == row
     assert back.mean == 1 / 3
-
-
-def test_parse_rows_csv_rejects_bad_input():
-    with pytest.raises(ValueError, match="header"):
-        parse_rows_csv("a,b,c\n1,2,3\n")
-    good = emit(sample_rows(), "csv")
-    truncated = good.splitlines()[0] + "\nx,1,paired\n"
-    with pytest.raises(ValueError, match="cells"):
-        parse_rows_csv(truncated)
 
 
 def test_emit_json():

@@ -30,9 +30,9 @@ def assert_valid_cycle(cycle: CycleRoute, g: Topology, cset):
     seq = cycle.sequence
     assert seq[0] == seq[-1] == cycle.hub
     for a, b in zip(seq, seq[1:]):
-        assert g.has_edge(a, b), (a, b)
+        assert b in g.link_bits[a], (a, b)
     assert len(cycle.edge_list) == len(set(cycle.edge_list))
-    assert set(cset) <= cycle.nodes
+    assert set(cset) <= set(seq)
 
 
 def test_cycle_route_rejects_malformed():
@@ -150,7 +150,7 @@ def test_insert_is_strictly_longer_and_valid(seed):
         cycle = route_cycle(g, {1, 2})
     except RoutingInfeasibleError:
         return
-    missing = [v for v in g.nodes if v not in cycle.nodes]
+    missing = [v for v in g.nodes if v not in cycle.sequence]
     if not missing:
         return
     v = missing[0]
@@ -158,9 +158,8 @@ def test_insert_is_strictly_longer_and_valid(seed):
     if grown is None:
         return
     assert grown.length > cycle.length
-    assert v in grown.nodes
-    assert cycle.nodes <= grown.nodes
-    assert_valid_cycle(grown, g, cycle.nodes | {v})
+    assert set(cycle.sequence) | {v} <= set(grown.sequence)
+    assert_valid_cycle(grown, g, set(cycle.sequence) | {v})
 
 
 def test_insert_matches_scan_of_every_position():
@@ -178,7 +177,7 @@ def test_insert_matches_scan_of_every_position():
             continue
         adj = adjacency_dict(g)
         seq = cycle.sequence
-        for v in sorted(set(g.nodes) - cycle.nodes):
+        for v in sorted(set(g.nodes) - set(cycle.sequence)):
             expected = best_insertion(adj, seq, v, cset)
             if expected is None:
                 assert insert_missing(g, cycle, v, cset) is None
@@ -192,8 +191,9 @@ def test_insert_matches_scan_of_every_position():
 
 
 def test_insert_memo_answers_as_a_fresh_search(monkeypatch):
-    # one memo across limits in any order, and across both directions of
-    # one cycle, must give what a call with a fresh memo gives
+    # one memo across falling limits, the order route_cycle makes its
+    # calls in, and across both directions of one cycle, must give what a
+    # call with a fresh memo gives
     detours = 0
     original = routing._detour
 
@@ -219,11 +219,13 @@ def test_insert_memo_answers_as_a_fresh_search(monkeypatch):
         if cycle is None:
             continue
         back = CycleRoute(sequence=cycle.sequence[::-1])
-        for v in sorted(set(g.nodes) - cycle.nodes):
+        for v in sorted(set(g.nodes) - set(cycle.sequence)):
             memo = {}
             limits = [None] + list(range(cycle.length, cycle.length + 8))
             calls = [(route, limit) for route in (cycle, back) for limit in limits]
+            # shuffled first only to keep the draws of later graphs
             rng.shuffle(calls)
+            calls.sort(key=lambda call: -(call[1] or len(g.edges)))
             for route, limit in calls:
                 before = detours
                 want = inserted(g, route, v, cset, limit=limit)
@@ -234,6 +236,16 @@ def test_insert_memo_answers_as_a_fresh_search(monkeypatch):
                 outcomes["none" if want is None else "cycle"] += 1
     assert min(outcomes.values()) >= 100, outcomes
     assert 3 * shared < fresh, (shared, fresh)
+
+
+def test_insert_memo_refuses_a_raised_limit(square):
+    # a memo's legs reach only as deep as its first limit needs, so the
+    # calls that share it may not raise the limit
+    g = graph(5, list(square.edges) + [(1, 5), (2, 5)])
+    cycle, memo = CycleRoute(sequence=(1, 2, 3, 4, 1)), {}
+    assert insert_missing(g, cycle, 5, limit=5, memo=memo).length == 5
+    with pytest.raises(AssertionError, match="raise the limit"):
+        insert_missing(g, cycle, 5, limit=7, memo=memo)
 
 
 def test_tree_legs_and_detours_match_oracle():
@@ -255,7 +267,7 @@ def test_tree_legs_and_detours_match_oracle():
         seq = cycle.sequence
         links = [frozenset(e) for e in zip(seq, seq[1:])]
         cycle_bits = routing._walk_bits(g, seq)
-        for v in sorted(set(g.nodes) - cycle.nodes):
+        for v in sorted(set(g.nodes) - set(cycle.sequence)):
             dv, legs = routing._off_cycle_legs(g, v, cycle_bits, cset)
             for a, b in zip(seq, seq[1:]):
                 banned = set(links) - {frozenset((a, b))}
@@ -344,7 +356,7 @@ def test_goal_search_equals_the_oracle_at_every_depth():
 def test_insert_at_every_limit_matches_scan_of_every_position(monkeypatch):
     # insert_missing stops its off-cycle search at the depth past which
     # no detour fits under the limit; at every limit, with a fresh memo
-    # or one shared across the limits in any order, it must pick the
+    # or one shared across the limits in falling order, it must pick the
     # scan's best insertion when that fits and None when it does not
     rng = random.Random(20261021)
     full_legs, sizes = routing._off_cycle_legs, []
@@ -370,7 +382,7 @@ def test_insert_at_every_limit_matches_scan_of_every_position(monkeypatch):
             continue
         adj, seq = adjacency_dict(g), cycle.sequence
         bits = routing._walk_bits(g, seq)
-        for v in sorted(set(g.nodes) - cycle.nodes):
+        for v in sorted(set(g.nodes) - set(cycle.sequence)):
             best = best_insertion(adj, seq, v, cset)
             sizes.clear()
             limits = list(range(cycle.length - 1, len(g.edges) + 2))
@@ -380,7 +392,9 @@ def test_insert_at_every_limit_matches_scan_of_every_position(monkeypatch):
             got = {limit: inserted(g, cycle, v, cset, limit=limit)
                    for limit in limits}
             memo = {}
+            # shuffled first only to keep the draws of later graphs
             rng.shuffle(limits)
+            limits.sort(reverse=True)
             shared = {limit: inserted(g, cycle, v, cset, limit=limit, memo=memo)
                       for limit in limits}
             assert got == want and shared == want, (g.edges, seq, v)
@@ -584,7 +598,7 @@ def test_route_all_k4_triangles(k4):
     for i, cycle in enumerate(cycles, start=1):
         assert cycle.hub == i
         assert cycle.length == 3
-        assert set(qs.quorums[i - 1]) <= cycle.nodes
+        assert set(qs.quorums[i - 1]) <= set(cycle.sequence)
 
 
 def test_route_all_respects_mapping(k4):
@@ -593,7 +607,7 @@ def test_route_all_respects_mapping(k4):
     cycles = route_all(k4, qs, m)
     for i, cycle in enumerate(cycles, start=1):
         assert cycle.hub == m.apply(i)
-        assert {m.apply(v) for v in qs.quorums[i - 1]} <= cycle.nodes
+        assert {m.apply(v) for v in qs.quorums[i - 1]} <= set(cycle.sequence)
 
 
 def test_route_all_aggregates_failures():

@@ -9,7 +9,7 @@ from quorumcycles.topology import (BUNDLED, NodeMapping, Topology,
                                    TopologyError, bundled_topology,
                                    find_bridges, generate_mappings,
                                    parse_topology, relabel,
-                                   serialize_topology, topology_to_json)
+                                   serialize_topology)
 
 from oracles import bfs_distances, connected, random_connected_graph
 
@@ -75,7 +75,8 @@ def test_serialize_round_trip(square):
 
 
 def test_json_round_trip(square):
-    assert parse_topology(topology_to_json(square)) == square
+    as_json = json.dumps({"n": square.n, "edges": square.edges})
+    assert parse_topology(as_json) == square
 
 
 @settings(max_examples=60)
@@ -89,7 +90,7 @@ def test_round_trip_on_random_graphs(data):
     edges = random_connected_graph(rng, n, extra_edges=rng.randrange(0, n))
     t = Topology(n=n, edges=tuple(edges))
     assert parse_topology(serialize_topology(t)) == t
-    assert parse_topology(topology_to_json(t)) == t
+    assert parse_topology(json.dumps({"n": n, "edges": edges})) == t
 
 
 def test_bundled_shapes():
@@ -110,16 +111,14 @@ def test_bundled_unknown_name():
 def test_adjacency_and_degree(square):
     assert square.adjacency[1] == (2, 4)
     assert square.degree(3) == 2
-    assert square.has_edge(4, 1) and not square.has_edge(1, 3)
+    assert 1 in square.link_bits[4] and 3 not in square.link_bits[1]
 
 
-def test_has_edge_on_a_non_canonical_edge_list():
+def test_link_bits_on_a_non_canonical_edge_list():
     # built directly, a topology takes its edge list as given
     t = Topology(n=3, edges=((2, 1), (3, 2), (3, 1)))
-    assert t.has_edge(1, 2) and t.has_edge(2, 1)
+    assert t.link_bits[1][2] == t.link_bits[2][1] == 1
     assert t.adjacency[1] == (2, 3) and t.degree(2) == 2
-    assert not (t.has_edge(1, 1) or t.has_edge(0, 1) or t.has_edge(4, 1)
-                or t.has_edge(-1, 2))
 
 
 def _random_graphs(seed, count):
@@ -147,7 +146,7 @@ def test_topology_tables_match_oracles():
         for u in t.nodes:
             assert t.adjacency[u] == tuple(sorted(adj[u])), t
             assert t.degree(u) == len(adj[u]), t
-            assert all(t.has_edge(u, v) == ((min(u, v), max(u, v)) in links)
+            assert all((v in t.link_bits[u]) == ((min(u, v), max(u, v)) in links)
                        for v in t.nodes), t
             dist = bfs_distances(adj, u)
             assert t.hops[u][1:] == tuple(dist.get(v, t.n) for v in t.nodes), t
